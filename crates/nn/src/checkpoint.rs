@@ -237,10 +237,11 @@ impl<'a> Dec<'a> {
     fn tensor(&mut self) -> io::Result<Tensor> {
         let rows = self.u32()? as usize;
         let cols = self.u32()? as usize;
-        let n = rows
+        let bytes = rows
             .checked_mul(cols)
+            .and_then(|n| n.checked_mul(4))
             .ok_or_else(|| invalid("tensor shape overflow"))?;
-        let raw = self.need(n * 4)?;
+        let raw = self.need(bytes)?;
         let data = raw
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
@@ -392,12 +393,16 @@ fn decode_payload(payload: &[u8]) -> io::Result<(Vec<ParamRecord>, Option<TrainS
 }
 
 fn encode_file(store: &ParamStore, state: Option<&TrainState>) -> Vec<u8> {
-    let payload = encode_payload(store, state);
+    wrap_payload(&encode_payload(store, state))
+}
+
+/// The v2 file around `payload`: magic, CRC32, length, payload.
+fn wrap_payload(payload: &[u8]) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(MAGIC_V2.len() + 12 + payload.len());
     bytes.extend_from_slice(MAGIC_V2);
-    bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+    bytes.extend_from_slice(&crc32(payload).to_le_bytes());
     bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&payload);
+    bytes.extend_from_slice(payload);
     bytes
 }
 
@@ -887,6 +892,74 @@ mod tests {
         let err = load_checkpoint(other.store_mut(), &path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert_unchanged(other.store(), &pristine);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn overflowing_tensor_shape_is_invalid_data_not_a_panic() {
+        // one parameter declaring a 2^31 x 2^31 tensor, behind a valid
+        // CRC: its byte count overflows usize
+        let mut e = Enc::default();
+        e.u32(1);
+        e.str("w");
+        e.u32(1 << 31);
+        e.u32(1 << 31);
+        let path = std::env::temp_dir().join("nn_checkpoint_overflowing_shape.ckpt");
+        std::fs::write(&path, wrap_payload(&e.0)).unwrap();
+        let mut m = model(16);
+        let pristine = m.store().clone();
+        let err = load_checkpoint(m.store_mut(), &path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert_unchanged(m.store(), &pristine);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// `bytes` with one to three edits: a byte overwritten, four bytes
+    /// overwritten with an extreme or random u32 (length and shape
+    /// fields), a cut, or a random tail.
+    fn mutate(bytes: &[u8], rng: &mut StdRng) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        for _ in 0..rng.gen_range(1..4) {
+            let at = rng.gen_range(0..out.len().max(1));
+            match rng.gen_range(0..4) {
+                0 => {
+                    if let Some(b) = out.get_mut(at) {
+                        *b = rng.gen::<u32>() as u8;
+                    }
+                }
+                1 => {
+                    let v = [0, 1, u32::MAX, 1 << 31, rng.gen()][rng.gen_range(0..5)];
+                    for (i, b) in v.to_le_bytes().into_iter().enumerate() {
+                        if let Some(slot) = out.get_mut(at + i) {
+                            *slot = b;
+                        }
+                    }
+                }
+                2 => out.truncate(at),
+                _ => out.extend((0..rng.gen_range(1..9)).map(|_| rng.gen::<u32>() as u8)),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn arbitrary_v2_payloads_load_or_fail_with_invalid_data() {
+        let real = encode_payload(model(17).store(), Some(&sample_state()));
+        let path = std::env::temp_dir().join("nn_checkpoint_arbitrary_payloads.ckpt");
+        let mut rng = StdRng::seed_from_u64(0xC4EC);
+        for case in 0..400 {
+            let payload: Vec<u8> = if case % 4 == 0 {
+                let len = rng.gen_range(0..64);
+                (0..len).map(|_| rng.gen::<u32>() as u8).collect()
+            } else {
+                mutate(&real, &mut rng)
+            };
+            std::fs::write(&path, wrap_payload(&payload)).unwrap();
+            let mut m = model(18);
+            if let Err(e) = load_checkpoint_with_state(m.store_mut(), &path) {
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData, "case {case}: {e}");
+            }
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -1,19 +1,23 @@
 //! Deterministic fault injection for fault-tolerance testing.
 //!
-//! The trainer's hot paths carry tiny probes (`take`) that normally cost a
-//! single relaxed atomic load. Tests arm a fault with `inject`; the next
-//! `n` probes of that kind then fire exactly once each and the fault
-//! disarms itself, so a recovery path (inline retry, checkpoint rollback)
-//! sees a clean world afterwards — the same one-shot shape as a transient
-//! hardware or OOM event.
+//! The trainer's hot paths carry tiny probes (`FaultPlan::take`). A test
+//! arms a fault with `inject` on its own thread; the next
+//! [`Trainer::fit_with`](crate::Trainer::fit_with) *on that thread* moves
+//! the armed shots into the run's private plan, and the first `times` probes
+//! of that kind inside that run then fire exactly once each — the same
+//! one-shot shape as a transient hardware or OOM event, so a recovery
+//! path (inline retry, checkpoint rollback) sees a clean world
+//! afterwards. Shots the run does not use die with it.
+//!
+//! Shots are therefore owned by one run: a fit started by another thread
+//! (another test running concurrently) starts with an empty plan and can
+//! never take them, and there is no process-global fault state to reset
+//! or to serialise tests around.
 //!
 //! The machinery is compiled only for test builds (`cfg(test)`) or when
-//! the `fault-injection` cargo feature is on; release builds get an
-//! inlined always-false stub and no way to arm anything.
-//!
-//! Fault state is process-global. Tests that arm faults must hold
-//! `test_guard` for their whole body so concurrently running tests do
-//! not steal each other's injections.
+//! the `fault-injection` cargo feature is on; release builds get a
+//! zero-sized plan whose inlined probe is always false, and no way to
+//! arm anything.
 
 /// The injectable failure modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,58 +31,70 @@ pub enum FaultKind {
 #[cfg(any(test, feature = "fault-injection"))]
 mod armed {
     use super::FaultKind;
+    use std::cell::Cell;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Mutex, MutexGuard};
 
-    static WORKER_PANIC: AtomicUsize = AtomicUsize::new(0);
-    static NAN_LOSS: AtomicUsize = AtomicUsize::new(0);
-
-    fn cell(kind: FaultKind) -> &'static AtomicUsize {
-        match kind {
-            FaultKind::WorkerPanic => &WORKER_PANIC,
-            FaultKind::NanLoss => &NAN_LOSS,
-        }
+    thread_local! {
+        /// Shots armed on this thread and not yet claimed by a run,
+        /// indexed by `FaultKind as usize`.
+        static ARMED: Cell<[usize; 2]> = const { Cell::new([0; 2]) };
     }
 
-    /// Arms `kind` to fire on the next `times` probes.
+    /// Arms `kind` to fire on the first `times` probes of the next
+    /// training run started on the calling thread (replacing any shots of
+    /// that kind armed earlier and not yet claimed).
     pub fn inject(kind: FaultKind, times: usize) {
-        cell(kind).store(times, Ordering::SeqCst);
+        let mut shots = ARMED.get();
+        shots[kind as usize] = times;
+        ARMED.set(shots);
     }
 
-    /// Disarms every fault.
-    pub fn reset() {
-        inject(FaultKind::WorkerPanic, 0);
-        inject(FaultKind::NanLoss, 0);
+    /// One training run's shots. Shared by reference with the run's shard
+    /// workers, so the counters are atomic; nothing outside the run can
+    /// reach them.
+    pub(crate) struct FaultPlan {
+        shots: [AtomicUsize; 2],
     }
 
-    /// Shots left before `kind` disarms.
-    pub fn remaining(kind: FaultKind) -> usize {
-        cell(kind).load(Ordering::SeqCst)
-    }
+    impl FaultPlan {
+        /// Moves every shot armed on the calling thread into a new plan,
+        /// leaving the thread disarmed.
+        pub(crate) fn claim() -> Self {
+            Self {
+                shots: ARMED.replace([0; 2]).map(AtomicUsize::new),
+            }
+        }
 
-    /// Probe: consumes one armed shot of `kind`, if any.
-    pub fn take(kind: FaultKind) -> bool {
-        cell(kind)
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-            .is_ok()
-    }
-
-    /// Serialises tests that touch the global fault state.
-    pub fn test_guard() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        /// Probe: consumes one armed shot of `kind`, if any.
+        pub(crate) fn take(&self, kind: FaultKind) -> bool {
+            self.shots[kind as usize]
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                .is_ok()
+        }
     }
 }
 
 #[cfg(any(test, feature = "fault-injection"))]
-pub use armed::{inject, remaining, reset, take, test_guard};
+pub use armed::inject;
+#[cfg(any(test, feature = "fault-injection"))]
+pub(crate) use armed::FaultPlan;
 
-/// Probe stub for builds without fault injection: never fires.
+/// Plan stub for builds without fault injection: nothing to claim, and
+/// the probe never fires.
 #[cfg(not(any(test, feature = "fault-injection")))]
-#[inline(always)]
-pub fn take(_kind: FaultKind) -> bool {
-    false
+pub(crate) struct FaultPlan;
+
+#[cfg(not(any(test, feature = "fault-injection")))]
+impl FaultPlan {
+    #[inline(always)]
+    pub(crate) fn claim() -> Self {
+        FaultPlan
+    }
+
+    #[inline(always)]
+    pub(crate) fn take(&self, _kind: FaultKind) -> bool {
+        false
+    }
 }
 
 /// On-disk corruption helpers: simulate a crash mid-write or silent media
@@ -115,25 +131,23 @@ mod tests {
 
     #[test]
     fn probes_fire_exactly_n_times() {
-        let _guard = test_guard();
-        reset();
-        assert!(!take(FaultKind::NanLoss));
+        assert!(!FaultPlan::claim().take(FaultKind::NanLoss));
         inject(FaultKind::NanLoss, 2);
-        assert_eq!(remaining(FaultKind::NanLoss), 2);
-        assert!(take(FaultKind::NanLoss));
-        assert!(take(FaultKind::NanLoss));
-        assert!(!take(FaultKind::NanLoss));
-        assert_eq!(remaining(FaultKind::NanLoss), 0);
+        let plan = FaultPlan::claim();
+        assert!(plan.take(FaultKind::NanLoss));
+        assert!(plan.take(FaultKind::NanLoss));
+        assert!(!plan.take(FaultKind::NanLoss));
+        // claiming moved the shots: the thread is disarmed again
+        assert!(!FaultPlan::claim().take(FaultKind::NanLoss));
     }
 
     #[test]
     fn kinds_are_independent() {
-        let _guard = test_guard();
-        reset();
         inject(FaultKind::WorkerPanic, 1);
-        assert!(!take(FaultKind::NanLoss));
-        assert!(take(FaultKind::WorkerPanic));
-        reset();
+        let plan = FaultPlan::claim();
+        assert!(!plan.take(FaultKind::NanLoss));
+        assert!(plan.take(FaultKind::WorkerPanic));
+        assert!(!plan.take(FaultKind::WorkerPanic));
     }
 
     #[test]

@@ -48,7 +48,7 @@ static CKPT_SAVE_NS: Counter = Counter::new("nn.checkpoint.save_ns");
 
 use crate::batch::BatchIterator;
 use crate::checkpoint::{CheckpointManager, TrainState};
-use crate::faults::{self, FaultKind};
+use crate::faults::{FaultKind, FaultPlan};
 use crate::optim::{Optimizer, OptimizerState};
 use crate::schedule::LrSchedule;
 
@@ -403,6 +403,8 @@ impl Trainer {
             None => None,
         };
         let checkpoint_every = opts.checkpoint_every.max(1);
+        // shots armed on this thread belong to this run alone
+        let faults = FaultPlan::claim();
 
         let batches = BatchIterator::new(train.len(), self.config.batch_size, self.config.seed);
         let mut run = RunState {
@@ -460,16 +462,7 @@ impl Trainer {
                 let lr = self.config.schedule.at(run.step) * run.lr_scale;
                 run.step += 1;
                 let (grads, loss) =
-                    match self.batch_gradients(model, train, &batch, run.epoch, run.step) {
-                        Ok(result) => result,
-                        // One poisoned shard fails the step, not the
-                        // process: retry the batch inline with identical
-                        // sharding and RNG streams, so a transient panic
-                        // leaves the trajectory bit-identical.
-                        Err(TrainError::WorkerPanic { .. }) => self
-                            .sharded_gradients(model, train, &batch, run.epoch, run.step, false)?,
-                        Err(e) => return Err(e),
-                    };
+                    self.batch_gradients(model, train, &batch, run.epoch, run.step, &faults)?;
                 let poisoned = !loss.is_finite() || grads.iter().any(|(_, t)| t.has_non_finite());
                 if poisoned {
                     skipped += 1;
@@ -578,6 +571,10 @@ impl Trainer {
 
     /// Computes summed gradients and mean loss for one minibatch, sharded
     /// over worker threads.
+    ///
+    /// One poisoned shard fails the attempt, not the process: the batch is
+    /// retried inline with identical sharding and RNG streams, so a
+    /// transient panic leaves the trajectory bit-identical.
     fn batch_gradients<M: SequenceModel + Sync>(
         &self,
         model: &M,
@@ -585,30 +582,41 @@ impl Trainer {
         batch: &[usize],
         epoch: usize,
         step: usize,
+        faults: &FaultPlan,
     ) -> Result<(Vec<(ParamId, Tensor)>, f64), TrainError> {
-        self.sharded_gradients(model, data, batch, epoch, step, true)
+        let seed_base = self
+            .config
+            .seed
+            .wrapping_mul(0x2545_F491_4F6C_DD1D)
+            .wrapping_add((epoch * 1_000_003 + step) as u64);
+        let (grads, mut loss) =
+            match self.sharded_gradients(model, data, batch, seed_base, true, faults) {
+                Err(TrainError::WorkerPanic { .. }) => {
+                    self.sharded_gradients(model, data, batch, seed_base, false, faults)?
+                }
+                result => result?,
+            };
+        if faults.take(FaultKind::NanLoss) {
+            loss = f64::NAN;
+        }
+        Ok((grads, loss))
     }
 
     /// Shard layout shared by the parallel path and the inline retry: the
     /// chunking and per-shard RNG seeds depend only on `(config, batch,
-    /// epoch, step)`, never on which thread runs a shard, so both paths
+    /// seed_base)`, never on which thread runs a shard, so both paths
     /// produce bit-identical gradients.
     fn sharded_gradients<M: SequenceModel + Sync>(
         &self,
         model: &M,
         data: &[Example],
         batch: &[usize],
-        epoch: usize,
-        step: usize,
+        seed_base: u64,
         parallel: bool,
+        faults: &FaultPlan,
     ) -> Result<(Vec<(ParamId, Tensor)>, f64), TrainError> {
         let n_threads = self.threads().min(batch.len()).max(1);
         let chunk = batch.len().div_ceil(n_threads);
-        let seed_base = self
-            .config
-            .seed
-            .wrapping_mul(0x2545_F491_4F6C_DD1D)
-            .wrapping_add((epoch * 1_000_003 + step) as u64);
 
         let outcomes: Vec<Result<ShardResult, String>> = if parallel && n_threads > 1 {
             crossbeam::scope(|scope| {
@@ -616,7 +624,7 @@ impl Trainer {
                     .chunks(chunk)
                     .enumerate()
                     .map(|(w, shard)| {
-                        scope.spawn(move |_| run_shard(model, data, shard, seed_base, w))
+                        scope.spawn(move |_| run_shard(model, data, shard, seed_base, w, faults))
                     })
                     .collect();
                 handles
@@ -629,7 +637,7 @@ impl Trainer {
             batch
                 .chunks(chunk)
                 .enumerate()
-                .map(|(w, shard)| run_shard(model, data, shard, seed_base, w))
+                .map(|(w, shard)| run_shard(model, data, shard, seed_base, w, faults))
                 .collect()
         };
         let mut results: Vec<ShardResult> = Vec::with_capacity(outcomes.len());
@@ -665,11 +673,7 @@ impl Trainer {
                 t.clip_inplace(self.config.grad_clip);
             }
         }
-        let mut mean_loss = loss_sum / total.max(1) as f64;
-        if faults::take(FaultKind::NanLoss) {
-            mean_loss = f64::NAN;
-        }
-        Ok((merged, mean_loss))
+        Ok((merged, loss_sum / total.max(1) as f64))
     }
 
     /// Evaluates on labelled data: `(mean loss, accuracy, predictions,
@@ -793,9 +797,10 @@ fn run_shard<M: SequenceModel>(
     shard: &[usize],
     seed_base: u64,
     w: usize,
+    faults: &FaultPlan,
 ) -> Result<ShardResult, String> {
     catch_unwind(AssertUnwindSafe(|| {
-        if faults::take(FaultKind::WorkerPanic) {
+        if faults.take(FaultKind::WorkerPanic) {
             panic!("injected worker panic");
         }
         let mut rng = StdRng::seed_from_u64(seed_base.wrapping_add(w as u64));
@@ -958,12 +963,13 @@ mod tests {
             ..Default::default()
         };
         let batch: Vec<usize> = (0..data.len()).collect();
+        let faults = FaultPlan::claim();
         // dropout is 0 so per-worker RNG divergence cannot matter
         let (g1, l1) = Trainer::new(config_one)
-            .batch_gradients(&model, &data, &batch, 0, 0)
+            .batch_gradients(&model, &data, &batch, 0, 0, &faults)
             .unwrap();
         let (g2, l2) = Trainer::new(config_many)
-            .batch_gradients(&model, &data, &batch, 0, 0)
+            .batch_gradients(&model, &data, &batch, 0, 0, &faults)
             .unwrap();
         assert!((l1 - l2).abs() < 1e-6);
         for (p, t) in &g1 {
@@ -1019,8 +1025,6 @@ mod tests {
 
     #[test]
     fn injected_worker_panic_is_retried_bit_identically() {
-        let _guard = faults::test_guard();
-        faults::reset();
         let data = order_task();
         let config = TrainerConfig {
             epochs: 3,
@@ -1038,11 +1042,10 @@ mod tests {
 
         let mut faulted = toy_model(8);
         let mut opt = AdamW::default();
-        faults::inject(FaultKind::WorkerPanic, 1);
+        crate::faults::inject(FaultKind::WorkerPanic, 1);
         let faulted_history = Trainer::new(config)
             .fit(&mut faulted, &mut opt, &data, None)
             .unwrap();
-        faults::reset();
 
         assert_eq!(clean_history, faulted_history);
         for (id, _, tensor) in clean.store().iter() {
@@ -1052,12 +1055,10 @@ mod tests {
 
     #[test]
     fn injected_nan_loss_is_skipped_and_counted() {
-        let _guard = faults::test_guard();
-        faults::reset();
         let data = order_task();
         let mut model = toy_model(9);
         let mut opt = AdamW::default();
-        faults::inject(FaultKind::NanLoss, 1);
+        crate::faults::inject(FaultKind::NanLoss, 1);
         let history = Trainer::new(TrainerConfig {
             epochs: 2,
             batch_size: 2,
@@ -1066,7 +1067,6 @@ mod tests {
         })
         .fit(&mut model, &mut opt, &data, None)
         .unwrap();
-        faults::reset();
         assert_eq!(history.total_skipped_steps(), 1);
         assert_eq!(history.total_rollbacks(), 0);
         assert!(history.epochs.iter().all(|e| e.train_loss.is_finite()));
@@ -1074,12 +1074,10 @@ mod tests {
 
     #[test]
     fn persistent_nan_loss_rolls_back_with_halved_lr() {
-        let _guard = faults::test_guard();
-        faults::reset();
         let data = order_task();
         let mut model = toy_model(10);
         let mut opt = AdamW::default();
-        faults::inject(FaultKind::NanLoss, 2);
+        crate::faults::inject(FaultKind::NanLoss, 2);
         let history = Trainer::new(TrainerConfig {
             epochs: 3,
             batch_size: 3, // two steps per epoch
@@ -1089,7 +1087,6 @@ mod tests {
         })
         .fit(&mut model, &mut opt, &data, None)
         .unwrap();
-        faults::reset();
         assert_eq!(history.total_rollbacks(), 1);
         assert_eq!(history.epochs.len(), 3, "rollback must not lose epochs");
         assert!(history.epochs.iter().all(|e| e.train_loss.is_finite()));
@@ -1097,14 +1094,12 @@ mod tests {
 
     #[test]
     fn unrecoverable_divergence_is_an_error() {
-        let _guard = faults::test_guard();
-        faults::reset();
         let data = order_task();
         let mut model = toy_model(11);
         let mut opt = AdamW::default();
         // enough poison to exhaust every rollback (patience 1 → a rollback
         // per poisoned step, budget of MAX_ROLLBACKS)
-        faults::inject(FaultKind::NanLoss, MAX_ROLLBACKS + 2);
+        crate::faults::inject(FaultKind::NanLoss, MAX_ROLLBACKS + 2);
         let err = Trainer::new(TrainerConfig {
             epochs: 2,
             batch_size: 6,
@@ -1114,8 +1109,50 @@ mod tests {
         })
         .fit(&mut model, &mut opt, &data, None)
         .unwrap_err();
-        faults::reset();
         assert!(matches!(err, TrainError::Diverged { .. }), "got {err:?}");
+    }
+
+    #[test]
+    fn shots_armed_on_one_thread_never_reach_a_fit_on_another() {
+        let data = order_task();
+        let config = TrainerConfig {
+            epochs: 2,
+            batch_size: 2,
+            threads: 1,
+            ..Default::default()
+        };
+        // enough poison for every step of both runs
+        crate::faults::inject(FaultKind::NanLoss, 100);
+        let elsewhere = std::thread::spawn({
+            let data = data.clone();
+            move || {
+                let mut model = toy_model(13);
+                Trainer::new(config)
+                    .fit(&mut model, &mut AdamW::default(), &data, None)
+                    .unwrap()
+            }
+        })
+        .join()
+        .unwrap();
+        assert_eq!(elsewhere.total_skipped_steps(), 0, "{elsewhere:?}");
+
+        // the shots are still armed here, and the next fit on this thread
+        // takes them
+        let mut model = toy_model(13);
+        let here = Trainer::new(TrainerConfig {
+            divergence_patience: 0,
+            ..config
+        })
+        .fit(&mut model, &mut AdamW::default(), &data, None)
+        .unwrap();
+        assert_eq!(here.total_skipped_steps(), 6, "{here:?}");
+
+        // and they died with that run
+        let mut model = toy_model(13);
+        let after = Trainer::new(config)
+            .fit(&mut model, &mut AdamW::default(), &data, None)
+            .unwrap();
+        assert_eq!(after.total_skipped_steps(), 0, "{after:?}");
     }
 
     #[test]

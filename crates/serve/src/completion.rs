@@ -19,13 +19,12 @@
 //! # Ticket state machine
 //!
 //! ```text
-//! submit ──▶ Submitted ──▶ Batched ──▶ terminal: Completed
-//!                │            │                  (Ok or the server's error)
-//!                │            │
-//!                ├────────────┴─▶ terminal: Canceled      (cancel, or the
-//!                │                                         sender dropped)
-//!                └──────────────▶ terminal: ShuttingDown  (close with the
-//!                                                          ticket pending)
+//! submit ──▶ Submitted ──▶ terminal: Completed     (Ok or the server's error)
+//!                │
+//!                ├───────▶ terminal: Canceled      (cancel, or the sender
+//!                │                                  dropped)
+//!                └───────▶ terminal: ShuttingDown  (close with the ticket
+//!                                                   pending)
 //! ```
 //!
 //! Every submitted ticket reaches **exactly one** terminal state, and
@@ -104,16 +103,6 @@ impl Ticket {
     }
 }
 
-/// Where a still-outstanding ticket currently is; `None` from
-/// [`CompletionQueue::phase_of`] once it has completed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TicketPhase {
-    /// Queued in the batch server, not yet picked up by the worker.
-    Submitted,
-    /// Riding a fused forward pass right now.
-    Batched,
-}
-
 /// One finished request: the ticket and its terminal result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Completion {
@@ -125,14 +114,10 @@ pub struct Completion {
     pub result: Result<Prediction, ServeError>,
 }
 
-struct Outstanding {
-    submitted: Instant,
-    batched: bool,
-}
-
 #[derive(Default)]
 struct CqState {
-    outstanding: HashMap<u64, Outstanding>,
+    /// Submit time of every ticket not yet terminal.
+    outstanding: HashMap<u64, Instant>,
     ready: VecDeque<Completion>,
     closed: bool,
 }
@@ -164,12 +149,12 @@ impl CqInner {
     ) -> bool {
         let notifier = {
             let mut st = self.lock();
-            let Some(info) = st.outstanding.remove(&id) else {
+            let Some(submitted) = st.outstanding.remove(&id) else {
                 LATE.incr();
                 return false;
             };
             cause.incr();
-            observe_latency(info.submitted.elapsed());
+            observe_latency(submitted.elapsed());
             st.ready.push_back(Completion {
                 ticket: Ticket(id),
                 result,
@@ -214,14 +199,6 @@ impl CompletionSender {
     /// the worker uses this to skip compute for answers nobody will see.
     pub(crate) fn is_dead(&self) -> bool {
         !self.inner.lock().outstanding.contains_key(&self.id)
-    }
-
-    /// Records that the request left the queue for a fused forward pass
-    /// (the `Submitted → Batched` edge of the state machine).
-    pub(crate) fn mark_batched(&self) {
-        if let Some(info) = self.inner.lock().outstanding.get_mut(&self.id) {
-            info.batched = true;
-        }
     }
 }
 
@@ -295,13 +272,7 @@ impl CompletionQueue {
             return Err(ServeError::ShuttingDown);
         }
         let id = self.inner.ids.fetch_add(1, Ordering::Relaxed);
-        st.outstanding.insert(
-            id,
-            Outstanding {
-                submitted: now,
-                batched: false,
-            },
-        );
+        st.outstanding.insert(id, now);
         SUBMITTED.incr();
         DEPTH.set(st.outstanding.len() as u64);
         DEPTH_PEAK.set_max(st.outstanding.len() as u64);
@@ -432,18 +403,6 @@ impl CompletionQueue {
         self.inner.lock().ready.len()
     }
 
-    /// Where `ticket` currently is, or `None` once it has terminated
-    /// (its completion is or was consumable).
-    pub fn phase_of(&self, ticket: Ticket) -> Option<TicketPhase> {
-        self.inner.lock().outstanding.get(&ticket.0).map(|info| {
-            if info.batched {
-                TicketPhase::Batched
-            } else {
-                TicketPhase::Submitted
-            }
-        })
-    }
-
     /// Registers (or clears) a callback fired after each delivery, for
     /// consumers that cannot sleep on the internal condvar — the
     /// `replica_worker` event loop points this at a self-pipe so
@@ -480,11 +439,9 @@ mod tests {
     fn send_then_poll_round_trips() {
         let cq = CompletionQueue::new();
         let (ticket, sender) = cq.register(now()).unwrap();
-        assert_eq!(cq.phase_of(ticket), Some(TicketPhase::Submitted));
-        sender.mark_batched();
-        assert_eq!(cq.phase_of(ticket), Some(TicketPhase::Batched));
+        assert_eq!(cq.outstanding(), 1);
         sender.send(Err(ServeError::EmptyRecipe));
-        assert_eq!(cq.phase_of(ticket), None);
+        assert_eq!(cq.outstanding(), 0);
         let completion = cq.poll().unwrap();
         assert_eq!(completion.ticket, ticket);
         assert_eq!(completion.result, Err(ServeError::EmptyRecipe));

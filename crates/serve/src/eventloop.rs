@@ -26,7 +26,9 @@
 //!
 //! # Connection lifecycle
 //!
-//! Frames are parsed incrementally from a per-connection read buffer;
+//! Frames are split incrementally off a per-connection read buffer by
+//! the same `transport` splitter the blocking client reads with, and
+//! answers are appended to a write buffer by its one appender;
 //! anything malformed (bad CRC, oversized length, unknown kind) closes
 //! the connection, exactly like the thread-per-connection worker did —
 //! the client's one-retry-on-a-fresh-connection policy
@@ -47,6 +49,7 @@
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
+use std::ops::Range;
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::Arc;
@@ -59,7 +62,9 @@ use crate::error::ServeError;
 use crate::netpoll::{poll, PollFd, POLLIN, POLLOUT};
 use crate::registry::ModelRegistry;
 use crate::service::BatchServer;
-use crate::transport::{decode_request, encode_response, note_frame, Request, Response, MAX_FRAME};
+use crate::transport::{
+    append_frame, decode_request, encode_response, split_frame, Request, Response,
+};
 
 static CONNECTIONS: Gauge = Gauge::new("serve.loop.connections");
 static ACCEPTED: Counter = Counter::new("serve.loop.accepted");
@@ -100,14 +105,17 @@ pub enum LoopExit {
 
 /// What an injected fault does to the response being written (test-only
 /// plumbing so the `replica_worker` binary's `REPLICA_WORKER_FAULT`
-/// machinery keeps working across the event-loop rewrite).
+/// machinery keeps working across the event-loop rewrite). Both frame
+/// faults tamper with the frame after it was appended whole.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
-    /// Flip the CRC of this response frame (the client sees corruption
-    /// and retries on a fresh connection).
+    /// Flip one payload byte of this response frame, so its CRC no
+    /// longer matches (the client sees corruption and retries on a fresh
+    /// connection).
     CorruptCrc,
-    /// Write only half the response frame, then close the connection
-    /// (the client sees a short read).
+    /// Drop the back half of the response payload (the header still
+    /// promises all of it), then close the connection (the client sees a
+    /// short read).
     TruncateAndClose,
     /// Exit the loop (and the process) with this code, without writing
     /// the response.
@@ -130,27 +138,12 @@ struct Conn {
 }
 
 impl Conn {
-    /// Appends one frame to the write buffer. `crc` is normally the
-    /// payload CRC but injected faults pass a corrupted one; `truncate`
-    /// writes only half the payload (the header still promises all of
-    /// it).
-    fn queue_frame(&mut self, payload: &[u8], crc: u32, truncate: bool) {
-        let body = if truncate {
-            &payload[..payload.len() / 2]
-        } else {
-            payload
-        };
-        self.wbuf
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.wbuf.extend_from_slice(&crc.to_le_bytes());
-        self.wbuf.extend_from_slice(body);
-        note_frame();
-    }
-
-    fn queue_response(&mut self, response: &Response) {
+    /// Appends one response frame to the write buffer, returning where
+    /// its payload sits there (injected faults tamper with it).
+    fn queue_response(&mut self, response: &Response) -> Range<usize> {
         let payload = encode_response(response);
-        let crc = nn::crc32(&payload);
-        self.queue_frame(&payload, crc, false);
+        append_frame(&mut self.wbuf, &payload);
+        self.wbuf.len() - payload.len()..self.wbuf.len()
     }
 
     /// Writes as much buffered output as the socket takes. `Err` means
@@ -385,28 +378,28 @@ fn deliver_completions(
             Ok(prediction) => {
                 state.served += 1;
                 let action = fault.as_mut().and_then(|hook| hook(state.served));
-                let response = Response::Prediction {
+                if let Some(FaultAction::Exit(code)) = action {
+                    return Some(LoopExit::FaultExit(code));
+                }
+                let payload = conn.queue_response(&Response::Prediction {
                     id: route.request_id,
                     prediction,
-                };
-                let payload = encode_response(&response);
-                let crc = nn::crc32(&payload);
+                });
                 match action {
-                    Some(FaultAction::Exit(code)) => return Some(LoopExit::FaultExit(code)),
-                    Some(FaultAction::CorruptCrc) => {
-                        conn.queue_frame(&payload, crc ^ 0xdead_beef, false);
-                    }
+                    Some(FaultAction::CorruptCrc) => conn.wbuf[payload.end - 1] ^= 0x40,
                     Some(FaultAction::TruncateAndClose) => {
-                        conn.queue_frame(&payload, crc, true);
+                        conn.wbuf.truncate(payload.start + payload.len() / 2);
                         conn.close_after_flush = true;
                     }
-                    None => conn.queue_frame(&payload, crc, false),
+                    _ => {}
                 }
             }
-            Err(error) => conn.queue_response(&Response::Error {
-                id: route.request_id,
-                error,
-            }),
+            Err(error) => {
+                conn.queue_response(&Response::Error {
+                    id: route.request_id,
+                    error,
+                });
+            }
         }
     }
     None
@@ -470,27 +463,15 @@ fn pump_connection(
     // parse every complete frame in the buffer
     let mut consumed = 0;
     loop {
-        let avail = &conn.rbuf[consumed..];
-        if avail.len() < 8 {
-            break;
-        }
-        let len = u32::from_le_bytes(avail[..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(avail[4..8].try_into().expect("4 bytes"));
-        if len > MAX_FRAME {
-            return ConnVerdict::Close;
-        }
-        if avail.len() < 8 + len {
-            break;
-        }
-        let payload = &avail[8..8 + len];
-        if nn::crc32(payload) != crc {
-            return ConnVerdict::Close;
-        }
-        note_frame();
+        let (payload, len) = match split_frame(&conn.rbuf[consumed..]) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => break,
+            Err(_) => return ConnVerdict::Close,
+        };
         let Ok(request) = decode_request(payload) else {
             return ConnVerdict::Close;
         };
-        consumed += 8 + len;
+        consumed += len;
 
         match request {
             Request::Classify {
@@ -526,7 +507,9 @@ fn pump_connection(
                             },
                         );
                     }
-                    Err(error) => conn.queue_response(&Response::Error { id, error }),
+                    Err(error) => {
+                        conn.queue_response(&Response::Error { id, error });
+                    }
                 }
             }
             Request::Ping { id } => {

@@ -61,7 +61,7 @@ mod supervisor;
 pub mod transport;
 
 pub use cache::LruCache;
-pub use completion::{Completion, CompletionQueue, Ticket, TicketPhase};
+pub use completion::{Completion, CompletionQueue, Ticket};
 pub use error::ServeError;
 pub use manifest::{ModelManifest, LINEAR_FILE, MANIFEST_FILE, MANIFEST_FORMAT};
 pub use model::{

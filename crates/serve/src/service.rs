@@ -504,9 +504,6 @@ fn worker_loop(shared: &Shared) {
                 // everything queued had expired or was canceled
             }
         };
-        for p in &batch {
-            p.reply.mark_batched();
-        }
         // contain a model panic to the batch that triggered it: the
         // unwound batch's reply senders drop (those callers see
         // `Canceled`), but the worker lives on to serve what's queued —

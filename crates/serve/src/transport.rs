@@ -47,11 +47,12 @@
 //!
 //! # Metrics
 //!
-//! `serve.transport.frames` counts every frame successfully written or
-//! read (both directions, both ends), `serve.transport.retries` counts
-//! client calls that got a second attempt on a fresh connection, and
-//! `serve.transport.errors` counts attempts that failed with an I/O or
-//! framing error; see `docs/TRACING.md`.
+//! `serve.transport.frames` counts every frame appended for writing or
+//! split off intact after reading (both directions, both ends),
+//! `serve.transport.retries` counts client calls that got a second
+//! attempt on a fresh connection, and `serve.transport.errors` counts
+//! attempts that failed with an I/O or framing error; see
+//! `docs/TRACING.md`.
 
 use std::io::{self, Read, Write};
 use std::os::unix::net::UnixStream;
@@ -85,13 +86,6 @@ const KIND_PREDICTION: u8 = 0x81;
 const KIND_ERROR: u8 = 0x82;
 const KIND_PONG: u8 = 0x83;
 const KIND_RELOAD_OK: u8 = 0x84;
-
-/// Ticks the shared frame counter for a frame handled outside
-/// [`read_frame`]/[`write_frame`] (the event loop parses and writes
-/// frames incrementally through its own buffers).
-pub(crate) fn note_frame() {
-    FRAMES.incr();
-}
 
 fn invalid(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.into())
@@ -234,6 +228,9 @@ impl<'a> Dec<'a> {
         let bytes = self.need(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| invalid("non-UTF-8 string in frame"))
     }
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
     fn finish(self) -> io::Result<()> {
         if self.pos == self.bytes.len() {
             Ok(())
@@ -260,7 +257,57 @@ fn header<'a>(payload: &'a [u8]) -> io::Result<(u8, u64, Dec<'a>)> {
 }
 
 // ---------------------------------------------------------------------------
-// Framing.
+// Framing: one appender and one splitter, shared by the blocking
+// reader/writer below and the worker's event loop.
+
+/// Bytes of frame header (length + CRC32) ahead of every payload.
+const FRAME_HEADER: usize = 8;
+
+/// Appends one frame (length, CRC32, payload) to `buf` and counts it.
+/// Callers keep `payload` within [`MAX_FRAME`].
+pub(crate) fn append_frame(buf: &mut Vec<u8>, payload: &[u8]) {
+    buf.reserve(FRAME_HEADER + payload.len());
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&nn::crc32(payload).to_le_bytes());
+    buf.extend_from_slice(payload);
+    FRAMES.incr();
+}
+
+/// The payload length a frame header declares.
+///
+/// # Errors
+///
+/// `InvalidData` when it exceeds [`MAX_FRAME`].
+fn declared_len(head: &[u8; FRAME_HEADER]) -> io::Result<usize> {
+    let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
+    if len > MAX_FRAME {
+        return Err(invalid(format!("frame length {len} exceeds {MAX_FRAME}")));
+    }
+    Ok(len)
+}
+
+/// Splits the first complete frame off the front of `buf`, returning its
+/// payload and the bytes it occupies, or `None` while `buf` holds only
+/// part of a frame. Counts every frame it returns.
+///
+/// # Errors
+///
+/// `InvalidData` for a length over [`MAX_FRAME`] (before the payload has
+/// arrived) or a CRC mismatch.
+pub(crate) fn split_frame(buf: &[u8]) -> io::Result<Option<(&[u8], usize)>> {
+    let Some(head) = buf.first_chunk::<FRAME_HEADER>() else {
+        return Ok(None);
+    };
+    let end = FRAME_HEADER + declared_len(head)?;
+    let Some(payload) = buf.get(FRAME_HEADER..end) else {
+        return Ok(None);
+    };
+    if nn::crc32(payload) != u32::from_le_bytes([head[4], head[5], head[6], head[7]]) {
+        return Err(invalid("frame CRC mismatch"));
+    }
+    FRAMES.incr();
+    Ok(Some((payload, end)))
+}
 
 /// Writes one frame (length, CRC32, payload) to `w`.
 ///
@@ -274,14 +321,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
             payload.len()
         )));
     }
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&nn::crc32(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
+    let mut frame = Vec::new();
+    append_frame(&mut frame, payload);
     w.write_all(&frame)?;
-    w.flush()?;
-    FRAMES.incr();
-    Ok(())
+    w.flush()
 }
 
 /// Reads one frame from `r`, verifying length sanity and the CRC.
@@ -292,20 +335,17 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// short read mid-frame (`UnexpectedEof`); plus any underlying I/O error
 /// (including read timeouts set on the stream).
 pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
-    let mut head = [0u8; 8];
+    let mut head = [0u8; FRAME_HEADER];
     r.read_exact(&mut head)?;
-    let len = u32::from_le_bytes(head[..4].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(head[4..].try_into().unwrap());
-    if len > MAX_FRAME {
-        return Err(invalid(format!("frame length {len} exceeds {MAX_FRAME}")));
+    // the length is checked before anything is allocated for it
+    let mut frame = vec![0u8; FRAME_HEADER + declared_len(&head)?];
+    frame[..FRAME_HEADER].copy_from_slice(&head);
+    r.read_exact(&mut frame[FRAME_HEADER..])?;
+    if split_frame(&frame)?.is_none() {
+        return Err(invalid("short frame")); // unreachable: the whole frame is here
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    if nn::crc32(&payload) != crc {
-        return Err(invalid("frame CRC mismatch"));
-    }
-    FRAMES.incr();
-    Ok(payload)
+    frame.drain(..FRAME_HEADER);
+    Ok(frame)
 }
 
 // ---------------------------------------------------------------------------
@@ -405,8 +445,10 @@ pub fn decode_response(payload: &[u8]) -> io::Result<Response> {
             let batch_size = d.u32()? as usize;
             let cache_hit = d.u8()? != 0;
             let n = d.u32()? as usize;
-            if n > MAX_FRAME / 8 {
-                return Err(invalid("probability row too long"));
+            // checked before reserving: a count the payload cannot hold
+            // must not size an allocation
+            if n > d.remaining() / 8 {
+                return Err(invalid("probability row longer than the payload"));
             }
             let mut probs = Vec::with_capacity(n);
             for _ in 0..n {
@@ -742,6 +784,8 @@ impl ReplicaHandle for RemoteReplica {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn frame_round_trips() {
@@ -783,7 +827,23 @@ mod tests {
 
     #[test]
     fn requests_round_trip() {
-        for request in [
+        for request in sample_requests() {
+            let payload = encode_request(&request);
+            assert_eq!(decode_request(&payload).unwrap(), request);
+        }
+    }
+
+    #[test]
+    fn responses_round_trip() {
+        for response in sample_responses() {
+            let payload = encode_response(&response);
+            assert_eq!(decode_response(&payload).unwrap(), response);
+        }
+    }
+
+    /// One request of every kind.
+    fn sample_requests() -> [Request; 4] {
+        [
             Request::Classify {
                 id: 7,
                 deadline_us: 1500,
@@ -795,14 +855,11 @@ mod tests {
                 dir: "/tmp/model".into(),
             },
             Request::Shutdown { id: 10 },
-        ] {
-            let payload = encode_request(&request);
-            assert_eq!(decode_request(&payload).unwrap(), request);
-        }
+        ]
     }
 
-    #[test]
-    fn responses_round_trip() {
+    /// One response of every kind, with every error code.
+    fn sample_responses() -> Vec<Response> {
         let errors = [
             ServeError::Overloaded {
                 depth: 9,
@@ -845,10 +902,7 @@ mod tests {
                     error,
                 }),
         );
-        for response in responses {
-            let payload = encode_response(&response);
-            assert_eq!(decode_response(&payload).unwrap(), response);
-        }
+        responses
     }
 
     #[test]
@@ -864,6 +918,168 @@ mod tests {
         // a request kind is not a response kind
         let payload = encode_request(&Request::Ping { id: 1 });
         assert!(decode_response(&payload).is_err());
+    }
+
+    #[test]
+    fn probability_count_is_bounded_by_the_payload() {
+        let mut payload = encode_response(&Response::Prediction {
+            id: 1,
+            prediction: Prediction {
+                probs: Vec::new(),
+                top_class: 0,
+                model_version: 1,
+                batch_size: 1,
+                cache_hit: false,
+            },
+        });
+        // an empty row ends the payload with its u32 count: claim the
+        // largest row a frame could carry
+        let count_at = payload.len() - 4;
+        payload[count_at..].copy_from_slice(&((MAX_FRAME / 8) as u32).to_le_bytes());
+        assert_eq!(payload.len(), 31);
+        let err = decode_response(&payload).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("longer than the payload"), "{err}");
+    }
+
+    #[test]
+    fn split_frame_takes_frames_off_a_stream_one_at_a_time() {
+        let mut stream = Vec::new();
+        append_frame(&mut stream, b"first");
+        append_frame(&mut stream, b"");
+        append_frame(&mut stream, b"third payload");
+        let mut written = Vec::new();
+        for payload in [&b"first"[..], b"", b"third payload"] {
+            write_frame(&mut written, payload).unwrap();
+        }
+        assert_eq!(
+            stream, written,
+            "appender and writer put the same bytes on the wire"
+        );
+        let mut first = vec![5, 0, 0, 0];
+        first.extend_from_slice(&nn::crc32(b"first").to_le_bytes());
+        first.extend_from_slice(b"first");
+        assert_eq!(
+            stream[..first.len()],
+            first,
+            "[len u32][crc32 u32][payload]"
+        );
+
+        // every strict prefix of a frame is incomplete, never an error
+        let first_len = FRAME_HEADER + 5;
+        for cut in 0..first_len {
+            assert!(split_frame(&stream[..cut]).unwrap().is_none(), "cut {cut}");
+        }
+        let mut rest = &stream[..];
+        let mut payloads = Vec::new();
+        while let Some((payload, used)) = split_frame(rest).unwrap() {
+            payloads.push(payload.to_vec());
+            rest = &rest[used..];
+        }
+        assert!(rest.is_empty());
+        assert_eq!(payloads, [&b"first"[..], b"", b"third payload"]);
+
+        // the oversized length is refused from the header alone
+        let mut huge = ((MAX_FRAME + 1) as u32).to_le_bytes().to_vec();
+        huge.extend_from_slice(&[0; 4]);
+        let err = split_frame(&huge).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let mut bad = stream.clone();
+        bad[FRAME_HEADER] ^= 1;
+        let err = split_frame(&bad).unwrap_err();
+        assert!(err.to_string().contains("CRC"), "{err}");
+    }
+
+    /// `bytes` with one to three edits: a byte overwritten, four bytes
+    /// overwritten with an extreme or random u32 (length and count
+    /// fields), a cut, or a random tail.
+    fn mutate(bytes: &[u8], rng: &mut StdRng) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        for _ in 0..rng.gen_range(1..4) {
+            let at = rng.gen_range(0..out.len().max(1));
+            match rng.gen_range(0..4) {
+                0 => {
+                    if let Some(b) = out.get_mut(at) {
+                        *b = rng.gen::<u32>() as u8;
+                    }
+                }
+                1 => {
+                    let v = [0, 1, u32::MAX, 1 << 31, rng.gen()][rng.gen_range(0..5)];
+                    for (i, b) in v.to_le_bytes().into_iter().enumerate() {
+                        if let Some(slot) = out.get_mut(at + i) {
+                            *slot = b;
+                        }
+                    }
+                }
+                2 => out.truncate(at),
+                _ => out.extend((0..rng.gen_range(1..9)).map(|_| rng.gen::<u32>() as u8)),
+            }
+        }
+        out
+    }
+
+    /// Arbitrary byte strings: a quarter uniformly random, the rest
+    /// mutations of `valid`, so the decoders get past their first checks.
+    fn arbitrary_inputs(valid: &[Vec<u8>], seed: u64) -> Vec<Vec<u8>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..2000)
+            .map(|case| {
+                if case % 4 == 0 {
+                    let len = rng.gen_range(0..48);
+                    (0..len).map(|_| rng.gen::<u32>() as u8).collect()
+                } else {
+                    mutate(&valid[case % valid.len()], &mut rng)
+                }
+            })
+            .collect()
+    }
+
+    fn assert_ok_or_invalid<T>(result: io::Result<T>, input: &[u8]) {
+        if let Err(e) = result {
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e} for {input:?}");
+        }
+    }
+
+    /// Every sample request and response, encoded.
+    fn sample_payloads() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+        (
+            sample_requests().iter().map(encode_request).collect(),
+            sample_responses().iter().map(encode_response).collect(),
+        )
+    }
+
+    #[test]
+    fn decoders_answer_arbitrary_bytes_with_invalid_data_never_a_panic() {
+        let (requests, responses) = sample_payloads();
+        for input in arbitrary_inputs(&requests, 0xDEC0) {
+            assert_ok_or_invalid(decode_request(&input), &input);
+        }
+        for input in arbitrary_inputs(&responses, 0xDEC1) {
+            assert_ok_or_invalid(decode_response(&input), &input);
+        }
+    }
+
+    #[test]
+    fn split_frame_answers_arbitrary_bytes_with_invalid_data_never_a_panic() {
+        let (requests, responses) = sample_payloads();
+        let frames: Vec<Vec<u8>> = requests
+            .iter()
+            .chain(&responses)
+            .map(|payload| {
+                let mut frame = Vec::new();
+                append_frame(&mut frame, payload);
+                frame
+            })
+            .collect();
+        for input in arbitrary_inputs(&frames, 0xF4A3) {
+            match split_frame(&input) {
+                Ok(Some((payload, used))) => {
+                    assert!(used <= input.len(), "{input:?}");
+                    assert_eq!(payload, &input[FRAME_HEADER..used]);
+                }
+                result => assert_ok_or_invalid(result, &input),
+            }
+        }
     }
 
     #[test]

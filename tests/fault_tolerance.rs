@@ -6,7 +6,9 @@
 //! Faults come from `nn::faults` (armed via the `fault-injection` feature
 //! in this crate's dev-dependencies): worker panics, NaN losses, and
 //! on-disk checkpoint corruption (truncation = crash mid-write, bit flips
-//! = silent media rot).
+//! = silent media rot). A runtime fault is armed on the test's own thread
+//! and taken only by the next fit that thread starts, so these tests run
+//! concurrently with every other training test without a lock.
 //!
 //! Run it at both ends of the threading spectrum — `scripts/check.sh`
 //! does `TENSOR_THREADS=1` and multi-threaded passes — since panic
@@ -333,8 +335,6 @@ fn garbage_file_is_neither_v1_nor_v2() {
 
 #[test]
 fn worker_panic_is_survived_bit_identically() {
-    let _guard = faults::test_guard();
-    faults::reset();
     let (straight, clean_history) = reference_run(3);
 
     let mut faulted = model(42);
@@ -343,7 +343,6 @@ fn worker_panic_is_survived_bit_identically() {
     let history = Trainer::new(config(3))
         .fit(&mut faulted, &mut opt, &dataset(), Some(&dataset()))
         .unwrap();
-    faults::reset();
 
     assert_eq!(clean_history, history, "retry must not change the run");
     assert_same_weights(&straight, &faulted);
@@ -351,15 +350,12 @@ fn worker_panic_is_survived_bit_identically() {
 
 #[test]
 fn nan_loss_is_skipped_and_surfaced_in_stats() {
-    let _guard = faults::test_guard();
-    faults::reset();
     let mut m = model(42);
     let mut opt = AdamW::default();
     faults::inject(FaultKind::NanLoss, 1);
     let history = Trainer::new(config(3))
         .fit(&mut m, &mut opt, &dataset(), None)
         .unwrap();
-    faults::reset();
     assert_eq!(history.total_skipped_steps(), 1);
     assert_eq!(history.total_rollbacks(), 0);
     assert!(history.epochs.iter().all(|e| e.train_loss.is_finite()));
@@ -367,15 +363,12 @@ fn nan_loss_is_skipped_and_surfaced_in_stats() {
 
 #[test]
 fn sustained_nan_loss_rolls_back_and_recovers() {
-    let _guard = faults::test_guard();
-    faults::reset();
     let mut m = model(42);
     let mut opt = AdamW::default();
     faults::inject(FaultKind::NanLoss, 3); // exactly divergence_patience
     let history = Trainer::new(config(3))
         .fit(&mut m, &mut opt, &dataset(), None)
         .unwrap();
-    faults::reset();
     assert_eq!(history.total_rollbacks(), 1);
     assert_eq!(history.epochs.len(), 3, "rollback must not shorten the run");
     assert!(history.epochs.iter().all(|e| e.train_loss.is_finite()));
