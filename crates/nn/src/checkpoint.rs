@@ -966,9 +966,13 @@ mod tests {
     #[test]
     fn corrupt_file_is_an_error() {
         let path = std::env::temp_dir().join("nn_checkpoint_corrupt.json");
-        std::fs::write(&path, "{}").unwrap();
-        let mut m = model(7);
-        assert!(load_checkpoint(m.store_mut(), &path).is_err());
+        // the second document nests deeper than the JSON parser's cap; it
+        // used to overflow the stack, which aborts the process
+        for text in ["{}".to_string(), "[".repeat(1_000_000)] {
+            std::fs::write(&path, text).unwrap();
+            let mut m = model(7);
+            assert!(load_checkpoint(m.store_mut(), &path).is_err());
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -1,12 +1,10 @@
 //! One supervised replica worker: loads a checkpoint into its own
 //! [`ModelRegistry`] (running the full warmup gate *before* binding the
 //! socket — a broken checkpoint means a nonzero exit, not a published
-//! model), hosts one [`BatchServer`], and serves the
-//! [`serve::transport`] wire protocol on a unix socket through the
-//! [`serve::eventloop`] single-threaded network loop: all client
-//! connections multiplexed over one `poll(2)` loop, classifications
-//! flowing through the batch server's completion queue instead of one
-//! blocked thread per connection.
+//! model), then serves the [`serve::transport`] wire protocol on a unix
+//! socket from one thread, the [`serve::eventloop`]: all client
+//! connections multiplexed over one `poll(2)` loop, which also cuts and
+//! runs every micro-batch itself.
 //!
 //! ```text
 //! replica_worker --socket PATH --model-dir DIR --model-name NAME
@@ -25,7 +23,10 @@
 //!
 //! * `REPLICA_WORKER_FAULT` — one of `exit-on-start`, `hang-accept`,
 //!   `corrupt-crc:N`, `truncate-frame:N`, `exit-after:N` (`N` counts
-//!   classify answers before the fault fires).
+//!   classify answers before the fault fires), or `hold-reload:PATH`
+//!   (the first `Reload` waits until `PATH` exists, serving nothing
+//!   meanwhile, so a test can pin what happens while a deploy is in
+//!   flight).
 //! * `REPLICA_WORKER_FAULT_MARKER` — path to a marker file. When set,
 //!   the fault fires once and writes the marker; a worker that starts
 //!   with the marker already present ignores the fault. This is how a
@@ -37,12 +38,11 @@
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::process::exit;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use serve::eventloop::{self, EventLoopConfig, FaultAction, FaultHook, LoopExit};
-use serve::{BatchServer, ModelRegistry, ServeConfig};
+use serve::eventloop::{self, EventLoopConfig, FaultAction, FaultHook, FaultPoint, LoopExit};
+use serve::{ModelRegistry, ServeConfig};
 
 struct Args {
     socket: PathBuf,
@@ -86,6 +86,7 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
+    serve.validate().map_err(|e| e.to_string())?;
     Ok(Args {
         socket: socket.ok_or("--socket is required")?,
         model_dir: model_dir.ok_or("--model-dir is required")?,
@@ -95,26 +96,45 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum FaultKind {
     ExitOnStart,
     HangAccept,
     CorruptCrc(u64),
     TruncateFrame(u64),
     ExitAfter(u64),
+    HoldReload(PathBuf),
 }
 
-/// A one-shot injected fault (see the module docs). `fired` makes the
-/// frame-level faults single-shot within one process; the marker file
-/// makes every fault single-shot across respawns.
+/// A one-shot injected fault (see the module docs).
 struct FaultPlan {
     kind: FaultKind,
+    shot: Shot,
+}
+
+/// `fired` makes a fault single-shot within one process; the marker file
+/// makes it single-shot across respawns.
+struct Shot {
     marker: Option<PathBuf>,
-    fired: AtomicBool,
+    fired: bool,
+}
+
+impl Shot {
+    /// Claims the fault unless it already fired, writing the marker so
+    /// respawns start healthy.
+    fn claim(&mut self) -> bool {
+        if std::mem::replace(&mut self.fired, true) {
+            return false;
+        }
+        if let Some(path) = &self.marker {
+            let _ = std::fs::write(path, b"fired\n");
+        }
+        true
+    }
 }
 
 impl FaultPlan {
-    fn from_env() -> Option<Arc<FaultPlan>> {
+    fn from_env() -> Option<FaultPlan> {
         let spec = std::env::var("REPLICA_WORKER_FAULT").ok()?;
         let marker = std::env::var("REPLICA_WORKER_FAULT_MARKER")
             .ok()
@@ -138,43 +158,50 @@ impl FaultPlan {
                     FaultKind::TruncateFrame(n)
                 } else if let Some(n) = parse_n(other, "exit-after:") {
                     FaultKind::ExitAfter(n)
+                } else if let Some(path) = other.strip_prefix("hold-reload:") {
+                    FaultKind::HoldReload(PathBuf::from(path))
                 } else {
                     eprintln!("replica_worker: unknown REPLICA_WORKER_FAULT {other:?}");
                     exit(2);
                 }
             }
         };
-        Some(Arc::new(FaultPlan {
+        Some(FaultPlan {
             kind,
-            marker,
-            fired: AtomicBool::new(false),
-        }))
+            shot: Shot {
+                marker,
+                fired: false,
+            },
+        })
     }
 
-    /// Claims the fault if `self` matches `kind` and no thread claimed
-    /// it yet, writing the marker so respawns start healthy.
-    fn claim(&self, kind: FaultKind) -> bool {
-        if self.kind != kind || self.fired.swap(true, Ordering::SeqCst) {
-            return false;
-        }
-        if let Some(path) = &self.marker {
-            let _ = std::fs::write(path, b"fired\n");
-        }
-        true
-    }
-
-    /// The per-answer fault hook the event loop consults; `served` is
-    /// the answer count including the response about to be written.
-    fn into_hook(plan: Arc<FaultPlan>) -> FaultHook {
-        Box::new(move |served| match plan.kind {
-            FaultKind::ExitAfter(after) if served >= after && plan.claim(plan.kind) => {
+    /// The fault hook the event loop consults before each classify answer
+    /// (`served` counts the response about to be written) and each
+    /// `Reload`.
+    fn into_hook(mut self) -> FaultHook {
+        Box::new(move |point| match (&self.kind, point) {
+            (&FaultKind::ExitAfter(after), FaultPoint::Answer { served })
+                if served >= after && self.shot.claim() =>
+            {
                 Some(FaultAction::Exit(4))
             }
-            FaultKind::CorruptCrc(after) if served > after && plan.claim(plan.kind) => {
+            (&FaultKind::CorruptCrc(after), FaultPoint::Answer { served })
+                if served > after && self.shot.claim() =>
+            {
                 Some(FaultAction::CorruptCrc)
             }
-            FaultKind::TruncateFrame(after) if served > after && plan.claim(plan.kind) => {
+            (&FaultKind::TruncateFrame(after), FaultPoint::Answer { served })
+                if served > after && self.shot.claim() =>
+            {
                 Some(FaultAction::TruncateAndClose)
+            }
+            (FaultKind::HoldReload(path), FaultPoint::Reload) => {
+                if self.shot.claim() {
+                    while !path.exists() {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+                None
             }
             _ => None,
         })
@@ -189,10 +216,10 @@ fn main() {
             exit(2);
         }
     };
-    let fault = FaultPlan::from_env();
+    let mut fault = FaultPlan::from_env();
 
-    if let Some(f) = &fault {
-        if f.kind == FaultKind::ExitOnStart && f.claim(FaultKind::ExitOnStart) {
+    if let Some(f) = &mut fault {
+        if f.kind == FaultKind::ExitOnStart && f.shot.claim() {
             exit(3);
         }
     }
@@ -207,14 +234,6 @@ fn main() {
         );
         exit(2);
     }
-    let server = match BatchServer::start(Arc::clone(&registry), &args.model_name, args.serve) {
-        Ok(server) => Arc::new(server),
-        Err(e) => {
-            eprintln!("replica_worker: start batch server: {e}");
-            exit(2);
-        }
-    };
-
     let _ = std::fs::remove_file(&args.socket);
     let listener = match UnixListener::bind(&args.socket) {
         Ok(listener) => listener,
@@ -224,8 +243,8 @@ fn main() {
         }
     };
 
-    if let Some(f) = &fault {
-        if f.kind == FaultKind::HangAccept && f.claim(FaultKind::HangAccept) {
+    if let Some(f) = &mut fault {
+        if f.kind == FaultKind::HangAccept && f.shot.claim() {
             // alive (the process runs, the socket backlog accepts
             // connects) but never answers: the hung-worker case
             loop {
@@ -237,7 +256,7 @@ fn main() {
     let hook = fault.map(FaultPlan::into_hook);
     match eventloop::run(
         listener,
-        &server,
+        &args.serve,
         &registry,
         &args.model_name,
         &args.event_loop,

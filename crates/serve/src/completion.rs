@@ -2,9 +2,9 @@
 //!
 //! [`BatchServer::classify`](crate::BatchServer::classify) pins one
 //! caller thread per in-flight request — fine for a handful of clients,
-//! fatal for an event loop that wants thousands of connections in
-//! flight at once. This module decouples *submitting* a request from
-//! *waiting* for its answer:
+//! wasteful for an in-process caller that wants thousands of requests in
+//! flight at once (a load generator replaying a trace, say). This module
+//! decouples *submitting* a request from *waiting* for its answer:
 //!
 //! * [`BatchServer::submit`](crate::BatchServer::submit) enqueues a
 //!   request without blocking and returns a [`Ticket`];
@@ -39,10 +39,11 @@
 //! The queue itself never blocks producers: the batch worker appends to
 //! an unbounded ready list (bounded in practice by the batch server's
 //! `queue_capacity` — a ticket must have been admitted before it can
-//! complete) and wakes sleepers. Consumers that multiplex completions
-//! with socket readiness (the `replica_worker` event loop) register a
-//! wake callback via [`set_notifier`](CompletionQueue::set_notifier)
-//! instead of sleeping on the internal condvar.
+//! complete) and wakes sleepers on the internal condvar.
+//!
+//! The `replica_worker` event loop does not use this module: it runs
+//! each batch on its own thread and writes the answers straight into its
+//! connections' buffers, so only in-process callers count here.
 //!
 //! # Metrics
 //!
@@ -96,8 +97,8 @@ fn observe_latency(since_submit: Duration) {
 pub struct Ticket(u64);
 
 impl Ticket {
-    /// The queue-unique id (useful as a map key when fanning completions
-    /// back out to connections).
+    /// The queue-unique id (useful as a map key when matching
+    /// completions back to their requests).
     pub fn id(self) -> u64 {
         self.0
     }
@@ -122,12 +123,9 @@ struct CqState {
     closed: bool,
 }
 
-type Notifier = Arc<dyn Fn() + Send + Sync>;
-
 struct CqInner {
     state: Mutex<CqState>,
     wake: Condvar,
-    notifier: Mutex<Option<Notifier>>,
     ids: AtomicU64,
 }
 
@@ -147,32 +145,20 @@ impl CqInner {
         result: Result<Prediction, ServeError>,
         cause: &'static Counter,
     ) -> bool {
-        let notifier = {
-            let mut st = self.lock();
-            let Some(submitted) = st.outstanding.remove(&id) else {
-                LATE.incr();
-                return false;
-            };
-            cause.incr();
-            observe_latency(submitted.elapsed());
-            st.ready.push_back(Completion {
-                ticket: Ticket(id),
-                result,
-            });
-            DEPTH.set(st.outstanding.len() as u64);
-            READY.set(st.ready.len() as u64);
-            self.wake.notify_all();
-            self.notifier
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .clone()
+        let mut st = self.lock();
+        let Some(submitted) = st.outstanding.remove(&id) else {
+            LATE.incr();
+            return false;
         };
-        // fire the wake hook outside every lock: it may itself touch the
-        // queue (an event loop draining inline) or block briefly (a full
-        // self-pipe)
-        if let Some(notify) = notifier {
-            notify();
-        }
+        cause.incr();
+        observe_latency(submitted.elapsed());
+        st.ready.push_back(Completion {
+            ticket: Ticket(id),
+            result,
+        });
+        DEPTH.set(st.outstanding.len() as u64);
+        READY.set(st.ready.len() as u64);
+        self.wake.notify_all();
         true
     }
 }
@@ -180,9 +166,8 @@ impl CqInner {
 /// Completion-side sender for one ticket, carried through the batch
 /// server's queue in place of a blocking reply channel. Consuming
 /// [`send`](Self::send) delivers the terminal result; dropping it
-/// unsent (worker panic, server teardown) delivers
-/// [`ServeError::Canceled`] — either way the ticket terminates exactly
-/// once.
+/// unsent (server teardown) delivers [`ServeError::Canceled`] — either
+/// way the ticket terminates exactly once.
 pub(crate) struct CompletionSender {
     inner: Arc<CqInner>,
     id: u64,
@@ -190,9 +175,16 @@ pub(crate) struct CompletionSender {
 }
 
 impl CompletionSender {
+    /// Delivers `result`. A `Canceled` result (the batch step answers a
+    /// panicked batch so) counts as a cancellation, like a dropped sender.
     pub(crate) fn send(mut self, result: Result<Prediction, ServeError>) {
         self.sent = true;
-        self.inner.deliver(self.id, result, &COMPLETED);
+        let cause = if matches!(result, Err(ServeError::Canceled)) {
+            &CANCELED
+        } else {
+            &COMPLETED
+        };
+        self.inner.deliver(self.id, result, cause);
     }
 
     /// Whether the ticket is already terminal (canceled or closed out) —
@@ -214,8 +206,8 @@ impl Drop for CompletionSender {
 /// Delivery side of the non-blocking serving API: collects one
 /// [`Completion`] per [`Ticket`] submitted against it.
 ///
-/// Cloning is shallow — clones share the same queue, so an event loop
-/// can hand one clone to a notifier closure and keep polling another.
+/// Cloning is shallow — clones share the same queue, so one thread can
+/// wait on a clone while another polls or cancels.
 ///
 /// ```
 /// use serve::CompletionQueue;
@@ -254,7 +246,6 @@ impl CompletionQueue {
             inner: Arc::new(CqInner {
                 state: Mutex::new(CqState::default()),
                 wake: Condvar::new(),
-                notifier: Mutex::new(None),
                 ids: AtomicU64::new(1),
             }),
         }
@@ -381,8 +372,7 @@ impl CompletionQueue {
         };
         for id in ids {
             // deliver() re-checks under the lock, so a result racing in
-            // between the snapshot above and here still wins exactly
-            // once; each drain fires the notifier like any delivery
+            // between the snapshot above and here still wins exactly once
             self.inner
                 .deliver(id, Err(ServeError::ShuttingDown), &DRAINED);
         }
@@ -402,26 +392,11 @@ impl CompletionQueue {
     pub fn ready(&self) -> usize {
         self.inner.lock().ready.len()
     }
-
-    /// Registers (or clears) a callback fired after each delivery, for
-    /// consumers that cannot sleep on the internal condvar — the
-    /// `replica_worker` event loop points this at a self-pipe so
-    /// `poll(2)` wakes when a completion lands. The callback runs on
-    /// the delivering thread (usually the batch worker) with no queue
-    /// lock held; it must not panic.
-    pub fn set_notifier(&self, notifier: Option<Arc<dyn Fn() + Send + Sync>>) {
-        *self
-            .inner
-            .notifier
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = notifier;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     fn now() -> Instant {
         Instant::now()
@@ -515,24 +490,5 @@ mod tests {
         // nothing outstanding: both waits return immediately
         assert!(cq.wait_with_timeout(Duration::from_secs(10)).is_none());
         assert!(cq.wait().is_none());
-    }
-
-    #[test]
-    fn notifier_fires_per_delivery_without_locks_held() {
-        let cq = CompletionQueue::new();
-        let fired = Arc::new(AtomicUsize::new(0));
-        let seen = Arc::new(fired.clone());
-        let probe = cq.clone();
-        cq.set_notifier(Some(Arc::new(move || {
-            // re-entering the queue from the notifier must not deadlock
-            let _ = probe.ready();
-            seen.fetch_add(1, Ordering::SeqCst);
-        })));
-        let (_t, sender) = cq.register(now()).unwrap();
-        sender.send(Err(ServeError::EmptyRecipe));
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
-        let (_t, _s) = cq.register(now()).unwrap();
-        cq.close();
-        assert_eq!(fired.load(Ordering::SeqCst), 2);
     }
 }

@@ -1,28 +1,35 @@
-//! The replica worker's single-threaded network event loop: every
-//! client socket multiplexed over one non-blocking poll loop, feeding
-//! one micro-batching queue through the completion front-end.
+//! The replica worker's one serving thread: every client socket
+//! multiplexed over one non-blocking poll loop, which also cuts and runs
+//! the micro-batches itself.
 //!
 //! # Threading model
 //!
-//! Exactly two threads serve traffic in a worker process:
+//! Exactly one thread serves traffic in a worker process. It owns the
+//! listener, every client connection, all read/write buffers, the
+//! request queue and the feature cache, and each turn it
 //!
-//! * **the network thread** (this module) — owns the listener, every
-//!   client connection, all read/write buffers, and the
-//!   [`CompletionQueue`]. It never blocks on a socket: readiness comes
-//!   from [`netpoll::poll`](crate::netpoll::poll), reads and writes are
-//!   non-blocking, and decoded Classify frames enter the batch server
-//!   via [`BatchServer::submit`] — a queue push, not a wait.
-//! * **the batch worker** (inside [`BatchServer`]) — cuts and runs fused
-//!   forward passes, exactly as in in-process serving. It is untouched
-//!   by this module; completions it delivers wake the network thread
-//!   through a self-pipe registered as the queue's notifier.
+//! 1. writes buffered answers out (non-blocking);
+//! 2. waits in [`netpoll::poll`](crate::netpoll::poll) — with a zero
+//!    timeout while requests are still queued, so requests that arrived
+//!    during the last batch join the next cut;
+//! 3. accepts, reads and decodes every ready frame, queueing each
+//!    `Classify` with its reply route (connection slot, generation, wire
+//!    request id) and answering `Ping` and `Reload` in place;
+//! 4. runs one batch step — the same work-conserving cut and fused
+//!    forward pass that [`BatchServer`](crate::BatchServer)'s thread runs
+//!    for in-process callers — and appends each answer to its
+//!    connection's write buffer.
 //!
-//! A thousand idle connections therefore cost a thousand fds and their
-//! buffers — not a thousand threads — and a thousand in-flight requests
-//! cost a thousand queue slots. The only operation that stalls the loop
-//! is an explicit `Reload` frame (a registry load + warmup gate runs
-//! inline); deploys are rare, per-worker, and routed around by the tier
-//! above, so the stall buys not having a third thread.
+//! No request changes threads, so there is no batch-thread wake, no
+//! completion queue and no self-pipe between a frame and its answer. A
+//! thousand idle connections cost a thousand fds and their buffers, and
+//! a thousand queued requests cost a thousand queue slots. The price is
+//! that a frame arriving during a batch pass waits it out: a `Ping` or
+//! `Reload` is answered at most one pass late — tens of microseconds for
+//! the LSTM at batch 1, about 90 ms for a full 32-request BERT
+//! graph-eval batch — well inside the supervisor's 500 ms ping timeout.
+//! `Reload` itself runs inline (registry load and warmup gate); deploys
+//! are rare, per-worker, and routed around by the tier above.
 //!
 //! # Connection lifecycle
 //!
@@ -33,35 +40,34 @@
 //! the connection, exactly like the thread-per-connection worker did —
 //! the client's one-retry-on-a-fresh-connection policy
 //! ([`RemoteReplica`](crate::RemoteReplica)) is the recovery path. When
-//! a connection closes with requests still in flight, its tickets are
-//! canceled so the batch worker skips compute nobody will read; a
-//! completion whose connection is already gone is counted
-//! (`serve.loop.orphaned`) and dropped. Reply routes carry the slot's
-//! generation number, so a recycled slot can never receive a
-//! predecessor's answer.
+//! a connection closes with requests still queued, they leave at the
+//! next cut with no compute (`serve.loop.orphaned` counts them). Reply
+//! routes carry the slot's generation number, so a recycled slot can
+//! never receive a predecessor's answer. A model panic answers its
+//! batch `Canceled` and the loop keeps serving.
 //!
 //! # Metrics
 //!
 //! `serve.loop.connections` (gauge), `serve.loop.accepted`,
 //! `serve.loop.polls`, and `serve.loop.orphaned`; frames parsed or
-//! written here tick the shared `serve.transport.frames` counter. See
-//! `docs/TRACING.md`.
+//! written here tick the shared `serve.transport.frames` counter, and
+//! the batch step keeps the `serve.queue.*`, `serve.batch*` and
+//! `serve.cache.*` family. See `docs/TRACING.md`.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::ops::Range;
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use trace::{Counter, Gauge};
 
-use crate::completion::{CompletionQueue, Ticket};
 use crate::error::ServeError;
 use crate::netpoll::{poll, PollFd, POLLIN, POLLOUT};
 use crate::registry::ModelRegistry;
-use crate::service::BatchServer;
+use crate::service::{check_room, enqueue, BatchStep, Pending, Prediction, Replies, ServeConfig};
 use crate::transport::{
     append_frame, decode_request, encode_response, split_frame, Request, Response,
 };
@@ -78,8 +84,9 @@ pub struct EventLoopConfig {
     /// at the cap, so further connects queue in the socket backlog
     /// (backpressure, not failure).
     pub max_connections: usize,
-    /// Idle poll tick. Readiness and completions wake the loop early;
-    /// this only bounds how long a totally idle loop sleeps per turn.
+    /// Idle poll tick. Readiness wakes the loop early, and the loop does
+    /// not sleep at all while requests are queued; this only bounds how
+    /// long a totally idle loop sleeps per turn.
     pub poll_timeout: Duration,
 }
 
@@ -95,8 +102,8 @@ impl Default for EventLoopConfig {
 /// Why [`run`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoopExit {
-    /// A `Shutdown` frame arrived; the batch server has drained (every
-    /// queued request was answered through the model).
+    /// A `Shutdown` frame arrived; every queued request was answered
+    /// through the model and flushed.
     ShutdownRequested,
     /// An injected fault asked the process to exit with this code
     /// (test-only; see [`FaultAction::Exit`]).
@@ -104,9 +111,9 @@ pub enum LoopExit {
 }
 
 /// What an injected fault does to the response being written (test-only
-/// plumbing so the `replica_worker` binary's `REPLICA_WORKER_FAULT`
-/// machinery keeps working across the event-loop rewrite). Both frame
-/// faults tamper with the frame after it was appended whole.
+/// plumbing for the `replica_worker` binary's `REPLICA_WORKER_FAULT`
+/// machinery). Both frame faults tamper with the frame after it was
+/// appended whole.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
     /// Flip one payload byte of this response frame, so its CRC no
@@ -122,10 +129,24 @@ pub enum FaultAction {
     Exit(i32),
 }
 
-/// Hook consulted once per successful classification, with the served
-/// count *including* the answer about to be written. Returning a
-/// [`FaultAction`] applies it to that response.
-pub type FaultHook = Box<dyn FnMut(u64) -> Option<FaultAction> + Send>;
+/// Where the loop consults an injected fault (test-only).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultPoint {
+    /// A successful classification is about to be written; `served`
+    /// counts answers *including* this one.
+    Answer {
+        /// Classify answers written so far, this one included.
+        served: u64,
+    },
+    /// A `Reload` frame is about to load its checkpoint. A hook may
+    /// block here; its action is ignored.
+    Reload,
+}
+
+/// Hook consulted once per successful classification and once before
+/// every `Reload`. Returning a [`FaultAction`] at an
+/// [`Answer`](FaultPoint::Answer) applies it to that response.
+pub type FaultHook = Box<dyn FnMut(FaultPoint) -> Option<FaultAction> + Send>;
 
 struct Conn {
     stream: UnixStream,
@@ -133,7 +154,6 @@ struct Conn {
     rbuf: Vec<u8>,
     wbuf: Vec<u8>,
     wpos: usize,
-    tickets: Vec<Ticket>,
     close_after_flush: bool,
 }
 
@@ -172,23 +192,90 @@ impl Conn {
     }
 }
 
-/// Where a completion is delivered: which connection (slot + generation)
-/// and which wire request id to echo.
-struct ReplyRoute {
+/// Where a queued request's answer goes: which connection (slot +
+/// generation) and which wire request id to echo.
+struct Route {
     slot: usize,
     gen: u64,
     request_id: u64,
 }
 
+/// The connections and the answer-side state: the batch step's
+/// [`Replies`] sink.
 struct LoopState {
     conns: Vec<Option<Conn>>,
-    routes: HashMap<Ticket, ReplyRoute>,
     served: u64,
+    fault: Option<FaultHook>,
+    /// Set when an injected exit fault fired while a batch was answered.
+    exit: Option<LoopExit>,
 }
 
 impl LoopState {
     fn live(&self) -> usize {
         self.conns.iter().flatten().count()
+    }
+
+    fn close(&mut self, slot: usize) {
+        if self.conns[slot].take().is_some() {
+            CONNECTIONS.set(self.live() as u64);
+        }
+    }
+}
+
+/// `route`'s connection, unless it closed (or its slot was reused).
+fn conn_for<'a>(conns: &'a mut [Option<Conn>], route: &Route) -> Option<&'a mut Conn> {
+    conns
+        .get_mut(route.slot)
+        .and_then(Option::as_mut)
+        .filter(|c| c.gen == route.gen)
+}
+
+impl Replies<Route> for LoopState {
+    fn gone(&mut self, route: &Route) -> bool {
+        let gone = conn_for(&mut self.conns, route).is_none();
+        if gone {
+            ORPHANED.incr();
+        }
+        gone
+    }
+
+    fn answer(&mut self, route: Route, result: Result<Prediction, ServeError>) {
+        if self.exit.is_some() {
+            // an injected exit fired: nothing more is written
+            return;
+        }
+        let Some(conn) = conn_for(&mut self.conns, &route) else {
+            // answered at the cut (deadline) after its client left
+            ORPHANED.incr();
+            return;
+        };
+        let id = route.request_id;
+        match result {
+            Ok(prediction) => {
+                self.served += 1;
+                let served = self.served;
+                let action = self
+                    .fault
+                    .as_mut()
+                    .and_then(|hook| hook(FaultPoint::Answer { served }));
+                if let Some(FaultAction::Exit(code)) = action {
+                    self.exit = Some(LoopExit::FaultExit(code));
+                    return;
+                }
+                let payload = conn.queue_response(&Response::Prediction { id, prediction });
+                match action {
+                    Some(FaultAction::CorruptCrc) => conn.wbuf[payload.end - 1] ^= 0x40,
+                    Some(FaultAction::TruncateAndClose) => {
+                        conn.wbuf.truncate(payload.start + payload.len() / 2);
+                        conn.close_after_flush = true;
+                    }
+                    _ => {}
+                }
+            }
+            Err(error) => {
+                conn.queue_response(&Response::Error { id, error });
+            }
+        }
     }
 }
 
@@ -199,60 +286,49 @@ enum ConnVerdict {
 }
 
 /// Runs the event loop until a `Shutdown` frame or an injected exit
-/// fault. See the module docs for the threading model.
+/// fault, serving `model_name` from `registry` with `serve`'s batching
+/// and queue bounds. See the module docs for the threading model.
 ///
 /// # Errors
 ///
-/// Only unrecoverable loop-level failures (the `poll` syscall itself, or
-/// the self-pipe dying); per-connection errors close that connection and
-/// keep serving.
+/// `InvalidInput` when `serve` is out of range or no model of that name
+/// is loaded; otherwise only unrecoverable loop-level failures (the
+/// `poll` syscall itself). Per-connection errors close that connection
+/// and keep serving.
 pub fn run(
     listener: UnixListener,
-    server: &Arc<BatchServer>,
+    serve: &ServeConfig,
     registry: &Arc<ModelRegistry>,
     model_name: &str,
     config: &EventLoopConfig,
-    mut fault: Option<FaultHook>,
+    fault: Option<FaultHook>,
 ) -> io::Result<LoopExit> {
+    let mut step = BatchStep::new(Arc::clone(registry), model_name, serve.clone())
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
     listener.set_nonblocking(true)?;
-    let cq = CompletionQueue::new();
-
-    // the self-pipe: the batch worker delivers completions from its own
-    // thread; a byte here makes poll() return so the loop can write the
-    // responses out. A full pipe is fine — the wakeup is already pending.
-    let (wake_rx, wake_tx) = UnixStream::pair()?;
-    wake_rx.set_nonblocking(true)?;
-    wake_tx.set_nonblocking(true)?;
-    cq.set_notifier(Some(Arc::new(move || {
-        let _ = (&wake_tx).write(b"w");
-    })));
-
+    let mut queue: VecDeque<Pending<Route>> = VecDeque::new();
     let mut state = LoopState {
         conns: Vec::new(),
-        routes: HashMap::new(),
         served: 0,
+        fault,
+        exit: None,
     };
     let mut next_gen: u64 = 0;
 
     loop {
-        // 1. deliver finished work into connection write buffers
-        if let Some(exit) = deliver_completions(&mut state, &cq, &mut fault) {
-            return Ok(exit);
-        }
-
-        // 2. push buffered bytes out
+        // 1. push buffered bytes out
         for slot in 0..state.conns.len() {
             let done = state.conns[slot]
                 .as_mut()
                 .is_some_and(|c| c.has_pending_writes() && c.flush().is_err());
             if done {
-                close_conn(&mut state, slot, &cq);
+                state.close(slot);
             }
         }
 
-        // 3. sleep until something is ready
-        let mut fds = Vec::with_capacity(2 + state.conns.len());
-        fds.push(PollFd::new(wake_rx.as_raw_fd(), POLLIN));
+        // 2. sleep until something is ready — not at all while requests
+        // wait for the next cut
+        let mut fds = Vec::with_capacity(1 + state.conns.len());
         let accepting = state.live() < config.max_connections;
         if accepting {
             fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
@@ -270,15 +346,16 @@ pub fn run(
                 fd_slots.push(slot);
             }
         }
-        poll(&mut fds, Some(config.poll_timeout))?;
+        let timeout = if queue.is_empty() {
+            config.poll_timeout
+        } else {
+            Duration::ZERO
+        };
+        poll(&mut fds, Some(timeout))?;
         POLLS.incr();
 
-        // 4. drain wakeup bytes (their only job was to end the poll)
-        let mut sink = [0u8; 64];
-        while matches!((&wake_rx).read(&mut sink), Ok(n) if n > 0) {}
-
-        // 5. accept what's waiting
-        if accepting {
+        // 3. accept what's waiting (the listener is fds[0] when polled)
+        if accepting && fds[0].readable() {
             loop {
                 match listener.accept() {
                     Ok((stream, _)) => {
@@ -292,7 +369,6 @@ pub fn run(
                             rbuf: Vec::new(),
                             wbuf: Vec::new(),
                             wpos: 0,
-                            tickets: Vec::new(),
                             close_after_flush: false,
                         };
                         match state.conns.iter().position(Option::is_none) {
@@ -313,7 +389,7 @@ pub fn run(
             }
         }
 
-        // 6. read + parse frames from every readable connection
+        // 4. read + parse frames from every readable connection
         let offset = fds.len() - fd_slots.len();
         for (i, &slot) in fd_slots.iter().enumerate() {
             if !fds[offset + i].readable() {
@@ -323,97 +399,41 @@ pub fn run(
                 Some(conn) => pump_connection(
                     conn,
                     slot,
-                    server,
-                    registry,
-                    model_name,
-                    &cq,
-                    &mut state.routes,
+                    &mut queue,
+                    &step,
+                    &mut state.fault,
                     state.served,
                 ),
                 None => ConnVerdict::Keep,
             };
             match verdict {
                 ConnVerdict::Keep => {}
-                ConnVerdict::Close => close_conn(&mut state, slot, &cq),
+                ConnVerdict::Close => state.close(slot),
                 ConnVerdict::Shutdown => {
                     // drain: every queued request answers through the
-                    // model, then the final completions are written out
-                    server.shutdown();
-                    if let Some(exit) = deliver_completions(&mut state, &cq, &mut fault) {
-                        return Ok(exit);
+                    // model, then the answers are written out
+                    while !queue.is_empty() {
+                        let batch = step.cut(&mut queue, Instant::now(), &mut state);
+                        step.run(batch, &mut state);
+                        if let Some(exit) = state.exit {
+                            return Ok(exit);
+                        }
                     }
                     final_flush(&mut state);
                     return Ok(LoopExit::ShutdownRequested);
                 }
             }
         }
-    }
-}
 
-/// Drains the completion queue into connection write buffers. Returns
-/// `Some` when an injected exit fault fired.
-fn deliver_completions(
-    state: &mut LoopState,
-    cq: &CompletionQueue,
-    fault: &mut Option<FaultHook>,
-) -> Option<LoopExit> {
-    while let Some(completion) = cq.poll() {
-        let Some(route) = state.routes.remove(&completion.ticket) else {
-            ORPHANED.incr();
-            continue;
-        };
-        let conn = state
-            .conns
-            .get_mut(route.slot)
-            .and_then(Option::as_mut)
-            .filter(|c| c.gen == route.gen);
-        let Some(conn) = conn else {
-            ORPHANED.incr();
-            continue;
-        };
-        if let Some(at) = conn.tickets.iter().position(|t| *t == completion.ticket) {
-            conn.tickets.swap_remove(at);
-        }
-        match completion.result {
-            Ok(prediction) => {
-                state.served += 1;
-                let action = fault.as_mut().and_then(|hook| hook(state.served));
-                if let Some(FaultAction::Exit(code)) = action {
-                    return Some(LoopExit::FaultExit(code));
-                }
-                let payload = conn.queue_response(&Response::Prediction {
-                    id: route.request_id,
-                    prediction,
-                });
-                match action {
-                    Some(FaultAction::CorruptCrc) => conn.wbuf[payload.end - 1] ^= 0x40,
-                    Some(FaultAction::TruncateAndClose) => {
-                        conn.wbuf.truncate(payload.start + payload.len() / 2);
-                        conn.close_after_flush = true;
-                    }
-                    _ => {}
-                }
-            }
-            Err(error) => {
-                conn.queue_response(&Response::Error {
-                    id: route.request_id,
-                    error,
-                });
+        // 5. one batch step: cut what is queued (up to max_batch) and
+        // answer it; the answers go out at the top of the next turn
+        if !queue.is_empty() {
+            let batch = step.cut(&mut queue, Instant::now(), &mut state);
+            step.run(batch, &mut state);
+            if let Some(exit) = state.exit {
+                return Ok(exit);
             }
         }
-    }
-    None
-}
-
-/// Tears down one connection: cancels its in-flight tickets (the batch
-/// worker skips compute for them) and frees the slot for reuse.
-fn close_conn(state: &mut LoopState, slot: usize, cq: &CompletionQueue) {
-    if let Some(conn) = state.conns[slot].take() {
-        for ticket in conn.tickets {
-            state.routes.remove(&ticket);
-            cq.cancel(ticket);
-        }
-        CONNECTIONS.set(state.live() as u64);
     }
 }
 
@@ -436,16 +456,14 @@ fn final_flush(state: &mut LoopState) {
 }
 
 /// Reads whatever the socket has, parses complete frames, and handles
-/// each decoded request.
-#[allow(clippy::too_many_arguments)]
+/// each decoded request: a `Classify` joins the queue for the next cut,
+/// the rest are answered in place.
 fn pump_connection(
     conn: &mut Conn,
     slot: usize,
-    server: &Arc<BatchServer>,
-    registry: &Arc<ModelRegistry>,
-    model_name: &str,
-    cq: &CompletionQueue,
-    routes: &mut HashMap<Ticket, ReplyRoute>,
+    queue: &mut VecDeque<Pending<Route>>,
+    step: &BatchStep,
+    fault: &mut Option<FaultHook>,
     served: u64,
 ) -> ConnVerdict {
     // non-blocking read until WouldBlock or EOF
@@ -491,35 +509,32 @@ fn pump_connection(
                     });
                     continue;
                 }
-                let deadline = (deadline_us > 0).then(|| Duration::from_micros(deadline_us));
-                // the submit is the whole hand-off: no thread waits for
-                // this answer — it comes back through the completion
-                // queue and is written in a later loop turn
-                match server.submit(tokens, key, deadline, cq) {
-                    Ok(ticket) => {
-                        conn.tickets.push(ticket);
-                        routes.insert(
-                            ticket,
-                            ReplyRoute {
-                                slot,
-                                gen: conn.gen,
-                                request_id: id,
-                            },
-                        );
-                    }
-                    Err(error) => {
-                        conn.queue_response(&Response::Error { id, error });
-                    }
+                if let Err(error) = check_room(queue, step.config().queue_capacity) {
+                    conn.queue_response(&Response::Error { id, error });
+                    continue;
                 }
+                let deadline = (deadline_us > 0).then(|| Duration::from_micros(deadline_us));
+                let route = Route {
+                    slot,
+                    gen: conn.gen,
+                    request_id: id,
+                };
+                enqueue(
+                    queue,
+                    Pending::new(tokens, key, Instant::now(), deadline, route),
+                );
             }
             Request::Ping { id } => {
-                let depth = server.queue_depth() as u64;
+                let depth = queue.len() as u64;
                 conn.queue_response(&Response::Pong { id, depth, served });
             }
             Request::Reload { id, dir } => {
+                if let Some(hook) = fault.as_mut() {
+                    hook(FaultPoint::Reload);
+                }
                 // blocking by design: the deploy gate (load + warmup)
                 // runs inline; see the module docs
-                let response = match registry.load(model_name, std::path::Path::new(&dir)) {
+                let response = match step.reload(std::path::Path::new(&dir)) {
                     Ok(loaded) => Response::ReloadOk {
                         id,
                         version: loaded.version(),

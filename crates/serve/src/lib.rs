@@ -17,9 +17,10 @@
 //! * [`LruCache`] memoizes featurized inputs keyed by canonicalized
 //!   recipe text (`cuisine::featurize::canonical_key`), invalidated on
 //!   every model swap.
-//! * [`transport`] + [`Supervisor`] replicate the batch server across
-//!   processes: each replica is a `replica_worker` process speaking a
-//!   CRC-checked binary protocol over a unix socket, spawned,
+//! * [`transport`] + [`Supervisor`] replicate serving across processes:
+//!   each replica is a `replica_worker` process speaking a CRC-checked
+//!   binary protocol over a unix socket from one thread ([`eventloop`],
+//!   which runs the same batch step as [`BatchServer`]), spawned,
 //!   crash-respawned (backoff + circuit breaker) and rolled to new
 //!   checkpoints by the supervisor.
 //! * [`ReplicaRouter`] spreads requests over those workers' handles

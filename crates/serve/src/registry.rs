@@ -552,6 +552,21 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_manifest_is_invalid_data_not_an_abort() {
+        let dir = std::env::temp_dir().join("serve_registry_deep_manifest");
+        let _ = std::fs::remove_dir_all(&dir);
+        write_lstm_dir(&dir, 15);
+        // a million `[` used to overflow the JSON parser's stack, which
+        // aborts the whole process: a crafted deploy killed its worker
+        std::fs::write(dir.join(crate::MANIFEST_FILE), "[".repeat(1_000_000)).unwrap();
+        let registry = ModelRegistry::new();
+        let err = registry.load("lstm", &dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("nesting"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn malformed_manifest_shapes_are_invalid_data_not_panics() {
         let dir = std::env::temp_dir().join("serve_registry_bad_shapes");
         let _ = std::fs::remove_dir_all(&dir);

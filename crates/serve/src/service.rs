@@ -5,13 +5,16 @@
 //!
 //! Requests enqueue into a bounded queue (`queue_capacity`; beyond it
 //! callers get [`ServeError::Overloaded`] immediately — backpressure, not
-//! buffering). A single worker thread cuts batches work-conservingly:
-//! whenever it is free and the queue is non-empty, it takes up to
-//! `max_batch` queued requests and runs one fused forward pass for them
-//! at once. It never holds a request back waiting for companions, so
-//! batches form only from requests that arrived while the previous pass
-//! ran — a lone request on an idle server is a batch of one, and
-//! batches grow with load. The cut is one in-place pass over the queue
+//! buffering). A single thread cuts batches work-conservingly: whenever
+//! it is free and the queue is non-empty, it takes up to `max_batch`
+//! queued requests and runs one fused forward pass for them at once.
+//! That cut and pass are one synchronous batch step, generic over where
+//! each answer goes; [`BatchServer`]'s worker thread runs it for
+//! in-process callers, and the replica worker's event loop
+//! (`crate::eventloop`) runs it on the loop's own thread. It never holds
+//! a request back waiting for companions, so batches form only from
+//! requests that arrived while the previous pass ran — a lone request on
+//! an idle server is a batch of one, and batches grow with load. The cut is one in-place pass over the queue
 //! that also answers every request already past its `deadline`
 //! [`ServeError::DeadlineExceeded`] and drops requests whose ticket is
 //! already terminal, so neither costs compute. Batching changes latency,
@@ -49,6 +52,8 @@
 //! latency histogram (`serve.latency_us.le_*`); see `docs/TRACING.md`.
 
 use std::collections::VecDeque;
+use std::io;
+use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -59,7 +64,7 @@ use crate::cache::LruCache;
 use crate::completion::{CompletionQueue, CompletionSender, Ticket};
 use crate::error::ServeError;
 use crate::model::Features;
-use crate::registry::ModelRegistry;
+use crate::registry::{LoadedModel, ModelRegistry};
 
 static QUEUE_DEPTH: Gauge = Gauge::new("serve.queue.depth");
 static QUEUE_PEAK: Gauge = Gauge::new("serve.queue.peak");
@@ -168,26 +173,93 @@ pub struct Prediction {
     pub cache_hit: bool,
 }
 
-struct Pending {
+/// One queued request, generic over where its answer goes: a
+/// [`CompletionSender`] for in-process callers, a connection route in the
+/// replica event loop.
+pub(crate) struct Pending<R> {
     /// Canonical entity tokens (already cleaned and lemmatized).
     tokens: Vec<String>,
     /// Cache key: the canonical tokens joined with `\x1f`.
     key: String,
     enqueued: Instant,
     deadline: Option<Instant>,
-    reply: CompletionSender,
+    reply: R,
+}
+
+impl<R> Pending<R> {
+    /// A request admitted at `now`; `deadline` bounds its time queued.
+    pub(crate) fn new(
+        tokens: Vec<String>,
+        key: String,
+        now: Instant,
+        deadline: Option<Duration>,
+        reply: R,
+    ) -> Self {
+        Self {
+            tokens,
+            key,
+            enqueued: now,
+            deadline: deadline.map(|d| now + d),
+            reply,
+        }
+    }
+}
+
+/// Where a [`BatchStep`]'s answers go, one per [`Pending::reply`].
+pub(crate) trait Replies<R> {
+    /// Whether nobody will read `reply`'s answer; such a request leaves
+    /// the next cut unanswered and uncomputed.
+    fn gone(&mut self, reply: &R) -> bool;
+    /// Delivers one request's terminal answer.
+    fn answer(&mut self, reply: R, result: Result<Prediction, ServeError>);
+}
+
+/// In-process replies: each request's ticket sender.
+struct Tickets;
+
+impl Replies<CompletionSender> for Tickets {
+    fn gone(&mut self, reply: &CompletionSender) -> bool {
+        reply.is_dead()
+    }
+
+    fn answer(&mut self, reply: CompletionSender, result: Result<Prediction, ServeError>) {
+        reply.send(result);
+    }
+}
+
+/// Admission both serving paths share: a full queue answers
+/// [`ServeError::Overloaded`] and admits nothing.
+pub(crate) fn check_room<R>(
+    queue: &VecDeque<Pending<R>>,
+    capacity: usize,
+) -> Result<(), ServeError> {
+    if queue.len() >= capacity {
+        REJECTED_OVERLOAD.incr();
+        return Err(ServeError::Overloaded {
+            depth: queue.len(),
+            capacity,
+        });
+    }
+    Ok(())
+}
+
+/// Appends an admitted request, keeping the depth gauges.
+pub(crate) fn enqueue<R>(queue: &mut VecDeque<Pending<R>>, request: Pending<R>) {
+    queue.push_back(request);
+    QUEUE_DEPTH.set(queue.len() as u64);
+    QUEUE_PEAK.set_max(queue.len() as u64);
+    REQUESTS.incr();
 }
 
 #[derive(Default)]
 struct QueueState {
-    queue: VecDeque<Pending>,
+    queue: VecDeque<Pending<CompletionSender>>,
     shutting_down: bool,
 }
 
 struct Shared {
     state: Mutex<QueueState>,
     wake: Condvar,
-    registry: Arc<ModelRegistry>,
     model_name: String,
     config: ServeConfig,
 }
@@ -229,21 +301,17 @@ impl BatchServer {
         model_name: &str,
         config: ServeConfig,
     ) -> Result<Self, ServeError> {
-        config.validate()?;
-        if registry.get(model_name).is_none() {
-            return Err(ServeError::UnknownModel(model_name.to_string()));
-        }
+        let step = BatchStep::new(registry, model_name, config.clone())?;
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState::default()),
             wake: Condvar::new(),
-            registry,
             model_name: model_name.to_string(),
             config,
         });
         let worker_shared = Arc::clone(&shared);
         let worker = std::thread::Builder::new()
             .name(format!("serve-{model_name}"))
-            .spawn(move || worker_loop(&worker_shared))
+            .spawn(move || worker_loop(&worker_shared, step))
             .expect("spawn batch worker");
         Ok(Self {
             shared,
@@ -306,10 +374,9 @@ impl BatchServer {
     /// answer is bit-identical to the blocking path — both ride the same
     /// queue, worker, and fused forward pass.
     ///
-    /// This is the front-end an event loop wants: thousands of in-flight
-    /// requests cost a queue slot each, not a thread each
-    /// (`crates/serve/src/eventloop.rs` multiplexes every client socket
-    /// over one such queue).
+    /// This is the front-end for in-process callers that keep many
+    /// requests in flight from one thread: thousands of them cost a
+    /// queue slot each, not a thread each.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -366,30 +433,17 @@ impl BatchServer {
         if st.shutting_down {
             return Err(ServeError::ShuttingDown);
         }
-        if st.queue.len() >= self.shared.config.queue_capacity {
-            REJECTED_OVERLOAD.incr();
-            return Err(ServeError::Overloaded {
-                depth: st.queue.len(),
-                capacity: self.shared.config.queue_capacity,
-            });
-        }
+        check_room(&st.queue, self.shared.config.queue_capacity)?;
         let (ticket, reply) = cq.register(now)?;
-        st.queue.push_back(Pending {
-            tokens,
-            key,
-            enqueued: now,
-            deadline: deadline.map(|d| now + d),
-            reply,
-        });
-        QUEUE_DEPTH.set(st.queue.len() as u64);
-        QUEUE_PEAK.set_max(st.queue.len() as u64);
+        enqueue(
+            &mut st.queue,
+            Pending::new(tokens, key, now, deadline, reply),
+        );
         // the worker sleeps only on an empty queue, so only the first
         // arrival can have a sleeper to wake
         if st.queue.len() == 1 {
             self.shared.wake.notify_one();
         }
-        drop(st);
-        REQUESTS.incr();
         Ok(ticket)
     }
 
@@ -428,40 +482,221 @@ impl Drop for BatchServer {
     }
 }
 
-/// Cuts the next batch in one in-place pass over the queue: every
-/// request past its deadline is answered [`ServeError::DeadlineExceeded`],
-/// every request whose ticket is already terminal (canceled or closed out
-/// — no one is listening, so no forward pass is owed) is dropped, and up
-/// to `max_batch` of the live rest leave, oldest first, as the batch.
-/// Nothing is allocated besides the batch itself.
-fn cut_batch(st: &mut QueueState, max_batch: usize, now: Instant) -> Vec<Pending> {
-    let overdue = |p: &Pending| p.deadline.is_some_and(|d| now >= d);
-    // stable compaction: live requests slide to the front in arrival
-    // order, the removed ones gather behind them
-    let mut live = 0;
-    for i in 0..st.queue.len() {
-        let p = &st.queue[i];
-        if !overdue(p) && !p.reply.is_dead() {
-            st.queue.swap(live, i);
-            live += 1;
+/// The synchronous batch step both serving paths share: the
+/// [`BatchServer`] thread for in-process callers, and the replica event
+/// loop, which runs it on its own thread. It owns the feature cache and
+/// re-resolves the model from the registry before every batch.
+pub(crate) struct BatchStep {
+    registry: Arc<ModelRegistry>,
+    model_name: String,
+    config: ServeConfig,
+    cache: LruCache<String, Arc<LazyFeatures>>,
+    cache_version: u64,
+}
+
+impl BatchStep {
+    /// A step serving `model_name` from `registry`.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::InvalidConfig`] when a config field is out of range,
+    /// and [`ServeError::UnknownModel`] when no model of that name is
+    /// loaded.
+    pub(crate) fn new(
+        registry: Arc<ModelRegistry>,
+        model_name: &str,
+        config: ServeConfig,
+    ) -> Result<Self, ServeError> {
+        config.validate()?;
+        if registry.get(model_name).is_none() {
+            return Err(ServeError::UnknownModel(model_name.to_string()));
+        }
+        Ok(Self {
+            registry,
+            model_name: model_name.to_string(),
+            cache: LruCache::new(config.cache_capacity),
+            config,
+            cache_version: 0,
+        })
+    }
+
+    /// The config this step was built with.
+    pub(crate) fn config(&self) -> &ServeConfig {
+        &self.config
+    }
+
+    /// Loads `dir` into the registry under this step's model name, behind
+    /// the registry's warmup gate; the next batch serves it.
+    ///
+    /// # Errors
+    ///
+    /// As [`ModelRegistry::load`]; the serving version stays in place.
+    pub(crate) fn reload(&self, dir: &Path) -> io::Result<Arc<LoadedModel>> {
+        self.registry.load(&self.model_name, dir)
+    }
+
+    /// Cuts the next batch in one in-place pass over the queue: every
+    /// request past its deadline is answered
+    /// [`ServeError::DeadlineExceeded`], every request whose reply is
+    /// [`gone`](Replies::gone) (no one is listening, so no forward pass
+    /// is owed) is dropped, and up to `max_batch` of the live rest leave,
+    /// oldest first, as the batch. Nothing is allocated besides the batch
+    /// itself.
+    pub(crate) fn cut<R>(
+        &self,
+        queue: &mut VecDeque<Pending<R>>,
+        now: Instant,
+        replies: &mut impl Replies<R>,
+    ) -> Vec<Pending<R>> {
+        let overdue = |p: &Pending<R>| p.deadline.is_some_and(|d| now >= d);
+        // stable compaction: live requests slide to the front in arrival
+        // order, the removed ones gather behind them
+        let mut live = 0;
+        for i in 0..queue.len() {
+            let p = &queue[i];
+            if !overdue(p) && !replies.gone(&p.reply) {
+                queue.swap(live, i);
+                live += 1;
+            }
+        }
+        for p in queue.drain(live..) {
+            if overdue(&p) {
+                REJECTED_DEADLINE.incr();
+                replies.answer(p.reply, Err(ServeError::DeadlineExceeded));
+            }
+            // else nobody is listening: dropping the request answers no one
+        }
+        let batch = queue.drain(..live.min(self.config.max_batch)).collect();
+        QUEUE_DEPTH.set(queue.len() as u64);
+        batch
+    }
+
+    /// Runs one cut batch through cache, featurize and one fused forward
+    /// pass, answering every request; an empty batch runs nothing. A
+    /// model panic is contained to the batch that triggered it: its
+    /// requests are answered [`ServeError::Canceled`], the cache (which
+    /// may have been mid-update) is cleared, and the step keeps serving.
+    pub(crate) fn run<R>(&mut self, batch: Vec<Pending<R>>, replies: &mut impl Replies<R>) {
+        if batch.is_empty() {
+            // the cut found only expired or abandoned requests
+            return;
+        }
+        let _span = trace::span("serve.batch");
+        let now = Instant::now();
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.forward(&batch)));
+        let error = match outcome {
+            Ok(Ok(Forward {
+                version,
+                rows,
+                hits,
+            })) => {
+                let batch_size = batch.len();
+                for ((p, row), hit) in batch.into_iter().zip(rows).zip(hits) {
+                    observe_latency(now.saturating_duration_since(p.enqueued));
+                    let top_class = row
+                        .iter()
+                        .enumerate()
+                        .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(&a.0)))
+                        .map_or(0, |(i, _)| i);
+                    replies.answer(
+                        p.reply,
+                        Ok(Prediction {
+                            probs: row,
+                            top_class,
+                            model_version: version,
+                            batch_size,
+                            cache_hit: hit,
+                        }),
+                    );
+                }
+                return;
+            }
+            Ok(Err(error)) => error,
+            Err(_) => {
+                WORKER_PANICS.incr();
+                self.cache.clear();
+                ServeError::Canceled
+            }
+        };
+        for p in batch {
+            replies.answer(p.reply, Err(error.clone()));
         }
     }
-    for p in st.queue.drain(live..) {
-        if overdue(&p) {
-            REJECTED_DEADLINE.incr();
-            p.reply.send(Err(ServeError::DeadlineExceeded));
+
+    /// Featurizes `batch` through the cache and runs the fused pass.
+    fn forward<R>(&mut self, batch: &[Pending<R>]) -> Result<Forward, ServeError> {
+        let Some(loaded) = self.registry.get(&self.model_name) else {
+            return Err(ServeError::UnknownModel(self.model_name.clone()));
+        };
+        if loaded.version() != self.cache_version {
+            // hot swap: cached features may not match the new model's
+            // vocabulary or vectorizer — start cold
+            self.cache.clear();
+            self.cache_version = loaded.version();
         }
-        // else the ticket already terminated (cancel() or a closed
-        // queue): dropping its sender delivers nothing new
+
+        let model = loaded.model();
+        // pass 1 (serial, request order): probe the cache and reserve a
+        // slot per miss, replicating the serial path's exact get/insert
+        // sequence — a key repeated within the batch hits the slot its
+        // first occurrence reserved, and evictions fall in the same order
+        // they would serially
+        let mut hits = vec![false; batch.len()];
+        let mut fresh: Vec<usize> = Vec::new();
+        let slots: Vec<Arc<LazyFeatures>> = batch
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                if let Some(slot) = self.cache.get(&p.key) {
+                    CACHE_HITS.incr();
+                    hits[i] = true;
+                    return Arc::clone(slot);
+                }
+                CACHE_MISSES.incr();
+                let slot = Arc::new(LazyFeatures(OnceLock::new()));
+                self.cache.insert(p.key.clone(), Arc::clone(&slot));
+                fresh.push(i);
+                slot
+            })
+            .collect();
+        // pass 2 (parallel): featurize the misses across the tensor pool,
+        // one tile per miss writing its own pre-reserved slot. featurize
+        // is pure per-request work, so tile→slot being fixed by pass 1
+        // makes the result bit-identical at every TENSOR_THREADS (a
+        // single miss, or a busy/absent pool, runs inline on this thread)
+        if !fresh.is_empty() {
+            let misses: Vec<&[String]> = fresh.iter().map(|&i| &batch[i].tokens[..]).collect();
+            tensor::pool::global().run(fresh.len(), &|t| {
+                let _ = slots[fresh[t]].0.set(model.featurize(misses[t]));
+            });
+        }
+        let refs: Vec<&Features> = slots.iter().map(|s| s.get()).collect();
+
+        let rows = model.predict(&refs);
+        debug_assert_eq!(rows.len(), batch.len());
+        BATCHES.incr();
+        observe_batch(batch.len());
+        Ok(Forward {
+            version: loaded.version(),
+            rows,
+            hits,
+        })
     }
-    let batch = st.queue.drain(..live.min(max_batch)).collect();
-    QUEUE_DEPTH.set(st.queue.len() as u64);
-    batch
+}
+
+/// One batch's fused pass: the answering model version, a probability
+/// row per request, and whether each request's features came from the
+/// cache.
+struct Forward {
+    version: u64,
+    rows: Vec<Vec<f64>>,
+    hits: Vec<bool>,
 }
 
 /// A feature-cache slot whose value may still be in flight: pass 1 of
-/// [`process_batch`] reserves slots in exact serial LRU order, pass 2
-/// fills the fresh ones in parallel on the tensor pool. Slots cached
+/// [`BatchStep::forward`] reserves slots in exact serial LRU order, pass
+/// 2 fills the fresh ones in parallel on the tensor pool. Slots cached
 /// from earlier batches are always filled.
 struct LazyFeatures(OnceLock<Features>);
 
@@ -473,10 +708,7 @@ impl LazyFeatures {
     }
 }
 
-fn worker_loop(shared: &Shared) {
-    let config = &shared.config;
-    let mut cache: LruCache<String, Arc<LazyFeatures>> = LruCache::new(config.cache_capacity);
-    let mut cache_version = 0u64;
+fn worker_loop(shared: &Shared, mut step: BatchStep) {
     loop {
         let batch = {
             let mut st = shared.lock();
@@ -497,106 +729,14 @@ fn worker_loop(shared: &Shared) {
                 }
                 // work-conserving cut: the worker is free, so whatever
                 // is queued goes now rather than waiting for company
-                let batch = cut_batch(&mut st, config.max_batch, Instant::now());
+                let batch = step.cut(&mut st.queue, Instant::now(), &mut Tickets);
                 if !batch.is_empty() {
                     break batch;
                 }
                 // everything queued had expired or was canceled
             }
         };
-        // contain a model panic to the batch that triggered it: the
-        // unwound batch's reply senders drop (those callers see
-        // `Canceled`), but the worker lives on to serve what's queued —
-        // otherwise every later request would hang forever
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            process_batch(shared, &mut cache, &mut cache_version, batch);
-        }));
-        if caught.is_err() {
-            WORKER_PANICS.incr();
-            // the cache may have been mid-update when the panic unwound
-            cache.clear();
-        }
-    }
-}
-
-fn process_batch(
-    shared: &Shared,
-    cache: &mut LruCache<String, Arc<LazyFeatures>>,
-    cache_version: &mut u64,
-    batch: Vec<Pending>,
-) {
-    let _span = trace::span("serve.batch");
-    let now = Instant::now();
-    let Some(loaded) = shared.registry.get(&shared.model_name) else {
-        for p in batch {
-            p.reply
-                .send(Err(ServeError::UnknownModel(shared.model_name.clone())));
-        }
-        return;
-    };
-    if loaded.version() != *cache_version {
-        // hot swap: cached features may not match the new model's
-        // vocabulary or vectorizer — start cold
-        cache.clear();
-        *cache_version = loaded.version();
-    }
-
-    let model = loaded.model();
-    // pass 1 (serial, request order): probe the cache and reserve a slot
-    // per miss, replicating the serial path's exact get/insert sequence —
-    // a key repeated within the batch hits the slot its first occurrence
-    // reserved, and evictions fall in the same order they would serially
-    let mut hits = vec![false; batch.len()];
-    let mut fresh: Vec<usize> = Vec::new();
-    let slots: Vec<Arc<LazyFeatures>> = batch
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            if let Some(slot) = cache.get(&p.key) {
-                CACHE_HITS.incr();
-                hits[i] = true;
-                return Arc::clone(slot);
-            }
-            CACHE_MISSES.incr();
-            let slot = Arc::new(LazyFeatures(OnceLock::new()));
-            cache.insert(p.key.clone(), Arc::clone(&slot));
-            fresh.push(i);
-            slot
-        })
-        .collect();
-    // pass 2 (parallel): featurize the misses across the tensor pool,
-    // one tile per miss writing its own pre-reserved slot. featurize is
-    // pure per-request work, so tile→slot being fixed by pass 1 makes
-    // the result bit-identical at every TENSOR_THREADS (a single miss,
-    // or a busy/absent pool, runs inline on this thread)
-    if !fresh.is_empty() {
-        tensor::pool::global().run(fresh.len(), &|t| {
-            let i = fresh[t];
-            let _ = slots[i].0.set(model.featurize(&batch[i].tokens));
-        });
-    }
-    let refs: Vec<&Features> = slots.iter().map(|s| s.get()).collect();
-
-    let probs = model.predict(&refs);
-    debug_assert_eq!(probs.len(), batch.len());
-    BATCHES.incr();
-    observe_batch(batch.len());
-
-    let batch_size = batch.len();
-    for ((p, row), hit) in batch.into_iter().zip(probs).zip(hits) {
-        observe_latency(now.saturating_duration_since(p.enqueued));
-        let top_class = row
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(&a.0)))
-            .map_or(0, |(i, _)| i);
-        p.reply.send(Ok(Prediction {
-            probs: row,
-            top_class,
-            model_version: loaded.version(),
-            batch_size,
-            cache_hit: hit,
-        }));
+        step.run(batch, &mut Tickets);
     }
 }
 

@@ -77,9 +77,8 @@ for threads in 1 4; do
 done
 
 # Completion-queue gate: cq_load pins >= 1024 requests in flight from a
-# single submitter thread (the non-blocking front-end the event-loop
-# worker rides) and requires every answer bit-identical to the
-# sequential path.
+# single submitter thread (the non-blocking in-process front-end) and
+# requires every answer bit-identical to the sequential path.
 echo "== completion queue gate (cq_load) =="
 cargo run --release -q -p bench --bin cq_load -- \
     --min-inflight 1024 --json "$quant_gate_dir/BENCH_cq.json"

@@ -27,11 +27,18 @@ impl Value {
     }
 }
 
-/// Parses a complete JSON document; trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse_value`] accepts (serde_json's
+/// default). The parser recurses once per level, so without a cap a
+/// document of a million `[` overflows the stack and aborts the process.
+const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document; trailing non-whitespace is an error,
+/// and so is nesting arrays and objects more than 128 levels deep.
 pub fn parse_value(input: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -48,6 +55,8 @@ pub fn parse_value(input: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -95,14 +104,28 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(Error::custom(format!(
                 "unexpected input at byte {}",
                 self.pos
             ))),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::custom(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Value, Error> {
@@ -287,5 +310,21 @@ mod tests {
         assert!(parse_value("12 34").is_err());
         assert!(parse_value(r#""unterminated"#).is_err());
         assert!(parse_value("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_value(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse_value(&nest(MAX_DEPTH + 1)).is_err());
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse_value(&objects).is_err());
+        // a million levels used to overflow the stack and abort
+        let err = parse_value(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.to_string().contains("nesting"), "{err}");
     }
 }

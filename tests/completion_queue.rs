@@ -1,17 +1,22 @@
 //! Integration tests for the non-blocking completion-queue front-end
-//! (`BatchServer::submit` + `CompletionQueue`) and the replica event
-//! loop that multiplexes client sockets over it.
+//! (`BatchServer::submit` + `CompletionQueue`) and for the replica event
+//! loop, which multiplexes client sockets and runs each batch on its own
+//! thread through the same batch step.
 //!
 //! The load-bearing contract: every admitted ticket terminates exactly
 //! once — through a model answer, a cancellation, a deadline, or a
 //! drain — no double-delivery, no leaked ticket, regardless of how
-//! shutdown races submission. check.sh runs this suite at several
-//! `TENSOR_THREADS` settings.
+//! shutdown races submission. Over the socket, every request is answered
+//! once unless its client left first, in which case it costs no compute.
+//! check.sh runs this suite at several `TENSOR_THREADS` settings.
 
 use std::collections::HashMap;
+use std::io::{self, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use serve::eventloop::{self, EventLoopConfig, LoopExit};
@@ -23,20 +28,24 @@ use serve::{
     Ticket,
 };
 
+/// Token count of the recipe [`CountModel`] panics on.
+const PANIC_TOKENS: usize = 7;
+
 /// Deterministic toy model: probabilities depend only on the token
 /// count, so any two paths through the server are trivially comparable.
 struct CountModel {
     /// Per-batch predict stall, to keep tickets in flight long enough
     /// for shutdown/cancel races to actually race.
     stall: Duration,
-    calls: AtomicUsize,
+    /// Requests that reached `predict`.
+    predicted: Arc<AtomicUsize>,
 }
 
 impl CountModel {
     fn new(stall: Duration) -> Self {
         Self {
             stall,
-            calls: AtomicUsize::new(0),
+            predicted: Arc::new(AtomicUsize::new(0)),
         }
     }
 }
@@ -52,7 +61,11 @@ impl ServingModel for CountModel {
         Features::Ids(vec![tokens.len()])
     }
     fn predict(&self, batch: &[&Features]) -> Vec<Vec<f64>> {
-        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.predicted.fetch_add(batch.len(), Ordering::Relaxed);
+        assert!(
+            !batch.contains(&&Features::Ids(vec![PANIC_TOKENS])),
+            "marked recipe reached the model"
+        );
         if !self.stall.is_zero() {
             std::thread::sleep(self.stall);
         }
@@ -70,13 +83,51 @@ impl ServingModel for CountModel {
     }
 }
 
-fn start_server(stall: Duration, config: ServeConfig) -> (Arc<BatchServer>, Arc<ModelRegistry>) {
+/// A registry serving one [`CountModel`], and its predicted-request count.
+fn count_registry(stall: Duration) -> (Arc<ModelRegistry>, Arc<AtomicUsize>) {
+    let model = CountModel::new(stall);
+    let predicted = Arc::clone(&model.predicted);
     let registry = Arc::new(ModelRegistry::new());
-    registry
-        .publish("count", Box::new(CountModel::new(stall)))
-        .unwrap();
+    registry.publish("count", Box::new(model)).unwrap();
+    (registry, predicted)
+}
+
+fn start_server(stall: Duration, config: ServeConfig) -> (Arc<BatchServer>, Arc<ModelRegistry>) {
+    let (registry, _) = count_registry(stall);
     let server = BatchServer::start(Arc::clone(&registry), "count", config).unwrap();
     (Arc::new(server), registry)
+}
+
+/// Binds a temporary socket and runs the event loop over `registry`'s
+/// count model on a thread of its own.
+fn spawn_loop(
+    tag: &str,
+    registry: &Arc<ModelRegistry>,
+    serve: ServeConfig,
+) -> (PathBuf, JoinHandle<io::Result<LoopExit>>) {
+    let socket = temp_socket(tag);
+    let _ = std::fs::remove_file(&socket);
+    let listener = UnixListener::bind(&socket).unwrap();
+    let registry = Arc::clone(registry);
+    let loop_thread = std::thread::spawn(move || {
+        eventloop::run(
+            listener,
+            &serve,
+            &registry,
+            "count",
+            &EventLoopConfig::default(),
+            None,
+        )
+    });
+    (socket, loop_thread)
+}
+
+fn classify_frame(id: u64, key: &str) -> Vec<u8> {
+    encode_request(&Request::Classify {
+        id,
+        deadline_us: 0,
+        key: key.into(),
+    })
 }
 
 fn tokens_for(i: usize) -> (Vec<String>, String) {
@@ -85,7 +136,7 @@ fn tokens_for(i: usize) -> (Vec<String>, String) {
     (tokens, key)
 }
 
-fn scratch_socket(tag: &str) -> std::path::PathBuf {
+fn temp_socket(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir();
     dir.join(format!("cq-{tag}-{}.sock", std::process::id()))
 }
@@ -208,32 +259,17 @@ fn submitted_answers_match_the_blocking_path_bitwise() {
 
 #[test]
 fn event_loop_pipelines_many_requests_on_one_connection() {
+    // the in-process server is the ground truth the loop's answers match
     let (server, registry) = start_server(Duration::ZERO, ServeConfig::default());
-    let socket = scratch_socket("pipeline");
-    let _ = std::fs::remove_file(&socket);
-    let listener = UnixListener::bind(&socket).unwrap();
-    let loop_thread = {
-        let server = Arc::clone(&server);
-        let registry = Arc::clone(&registry);
-        std::thread::spawn(move || {
-            eventloop::run(
-                listener,
-                &server,
-                &registry,
-                "count",
-                &EventLoopConfig::default(),
-                None,
-            )
-        })
-    };
+    let (socket, loop_thread) = spawn_loop("pipeline", &registry, ServeConfig::default());
 
     let mut conn = UnixStream::connect(&socket).unwrap();
     conn.set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
 
     // pipeline every request up front without reading a single response:
-    // the old thread-per-connection worker would answer these strictly
-    // in lockstep; the event loop keeps them all in flight at once
+    // a thread-per-connection worker would answer these strictly in
+    // lockstep; the event loop queues them all and batches them
     let total: u64 = 200;
     let mut expected = HashMap::new();
     for id in 0..total {
@@ -286,44 +322,36 @@ fn event_loop_pipelines_many_requests_on_one_connection() {
 
 #[test]
 fn event_loop_survives_client_disconnect_with_requests_in_flight() {
-    let (server, registry) = start_server(
-        Duration::from_millis(5),
+    let (registry, predicted) = count_registry(Duration::from_millis(5));
+    let (socket, loop_thread) = spawn_loop(
+        "disconnect",
+        &registry,
         ServeConfig {
             max_batch: 2,
             queue_capacity: 256,
             ..ServeConfig::default()
         },
     );
-    let socket = scratch_socket("disconnect");
-    let _ = std::fs::remove_file(&socket);
-    let listener = UnixListener::bind(&socket).unwrap();
-    let loop_thread = {
-        let server = Arc::clone(&server);
-        let registry = Arc::clone(&registry);
-        std::thread::spawn(move || {
-            eventloop::run(
-                listener,
-                &server,
-                &registry,
-                "count",
-                &EventLoopConfig::default(),
-                None,
-            )
-        })
-    };
 
-    // flood and vanish: the loop must cancel the orphaned tickets and
-    // keep serving other clients
+    // flood and vanish: the loop must drop the orphaned requests at the
+    // next cut and keep serving other clients
+    let flooded = 50;
+    let warmup = predicted.load(Ordering::Relaxed);
     {
         let mut doomed = UnixStream::connect(&socket).unwrap();
-        for id in 0..50u64 {
-            let request = Request::Classify {
-                id,
-                deadline_us: 0,
-                key: "soy\x1fginger".into(),
-            };
-            write_frame(&mut doomed, &encode_request(&request)).unwrap();
+        doomed
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        for id in 0..flooded as u64 {
+            write_frame(&mut doomed, &classify_frame(id, "soy\x1fginger")).unwrap();
         }
+        // the Pong is written once the loop has read every frame before
+        // it, so the flood is queued before the client hangs up
+        write_frame(&mut doomed, &encode_request(&Request::Ping { id: 99 })).unwrap();
+        while !matches!(
+            decode_response(&read_frame(&mut doomed).unwrap()).unwrap(),
+            Response::Pong { .. }
+        ) {}
     } // dropped with answers still in flight
 
     let mut conn = UnixStream::connect(&socket).unwrap();
@@ -342,8 +370,98 @@ fn event_loop_survives_client_disconnect_with_requests_in_flight() {
         }
         other => panic!("expected Prediction, got {other:?}"),
     }
+    // at 5 ms and two requests a pass, serving the whole flood would take
+    // 125 ms; the loop noticed the hang-up long before and dropped the
+    // rest uncomputed (request 7 is the one answered above)
+    let reached = predicted.load(Ordering::Relaxed) - warmup - 1;
+    assert!(
+        reached < flooded,
+        "{reached} flooded requests reached predict: the vanished client's flood was computed"
+    );
 
     write_frame(&mut conn, &encode_request(&Request::Shutdown { id: 8 })).unwrap();
+    let exit = loop_thread.join().unwrap().unwrap();
+    assert_eq!(exit, LoopExit::ShutdownRequested);
+    let _ = std::fs::remove_file(&socket);
+}
+
+#[test]
+fn event_loop_shutdown_drains_queued_requests_through_the_model() {
+    let (registry, _) = count_registry(Duration::from_millis(1));
+    let (socket, loop_thread) = spawn_loop(
+        "drain",
+        &registry,
+        ServeConfig {
+            max_batch: 4,
+            ..ServeConfig::default()
+        },
+    );
+    let mut conn = UnixStream::connect(&socket).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+
+    // every request and the Shutdown leave in one write, so the loop
+    // meets the Shutdown with requests still queued
+    let total = 40u64;
+    let mut burst = Vec::new();
+    for id in 0..total {
+        let (tokens, _) = tokens_for(id as usize);
+        write_frame(&mut burst, &classify_frame(id, &tokens.join("\x1f"))).unwrap();
+    }
+    write_frame(
+        &mut burst,
+        &encode_request(&Request::Shutdown { id: total }),
+    )
+    .unwrap();
+    conn.write_all(&burst).unwrap();
+
+    let exit = loop_thread.join().unwrap().unwrap();
+    assert_eq!(exit, LoopExit::ShutdownRequested);
+    let mut answered = Vec::new();
+    for _ in 0..total {
+        match decode_response(&read_frame(&mut conn).unwrap()).unwrap() {
+            Response::Prediction { id, prediction } => {
+                assert_eq!(prediction.probs.len(), 3);
+                answered.push(id);
+            }
+            other => panic!("expected Prediction, got {other:?}"),
+        }
+    }
+    answered.sort_unstable();
+    assert_eq!(answered, (0..total).collect::<Vec<_>>());
+    let _ = std::fs::remove_file(&socket);
+}
+
+#[test]
+fn event_loop_answers_a_panicking_batch_canceled_and_keeps_serving() {
+    let (registry, _) = count_registry(Duration::ZERO);
+    let (socket, loop_thread) = spawn_loop("panic", &registry, ServeConfig::default());
+    let mut conn = UnixStream::connect(&socket).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+
+    // the marked recipe alone makes up its batch, and the model panics on it
+    let marked: Vec<String> = (0..PANIC_TOKENS).map(|t| format!("tok{t}")).collect();
+    write_frame(&mut conn, &classify_frame(1, &marked.join("\x1f"))).unwrap();
+    match decode_response(&read_frame(&mut conn).unwrap()).unwrap() {
+        Response::Error { id, error } => {
+            assert_eq!(id, 1);
+            assert_eq!(error, ServeError::Canceled);
+        }
+        other => panic!("expected a Canceled error, got {other:?}"),
+    }
+
+    // the same connection is served normally afterwards
+    write_frame(&mut conn, &classify_frame(2, "soy\x1fginger")).unwrap();
+    match decode_response(&read_frame(&mut conn).unwrap()).unwrap() {
+        Response::Prediction { id, prediction } => {
+            assert_eq!(id, 2);
+            assert_eq!(prediction.probs, vec![0.5, 0.25, 0.25]);
+        }
+        other => panic!("expected Prediction, got {other:?}"),
+    }
+
+    write_frame(&mut conn, &encode_request(&Request::Shutdown { id: 3 })).unwrap();
     let exit = loop_thread.join().unwrap().unwrap();
     assert_eq!(exit, LoopExit::ShutdownRequested);
     let _ = std::fs::remove_file(&socket);

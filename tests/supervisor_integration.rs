@@ -395,8 +395,18 @@ fn rolling_deploy_promotes_and_bad_checkpoint_is_gated() {
         "seeds 42 and 4242 produced identical models"
     );
 
+    // each worker holds its first Reload until `release` exists: worker 0
+    // (reloaded first) stays on A until a client pinned to worker 1 has
+    // been answered inside the deploy window, so that answer lands there
+    // by construction rather than by scheduling luck
+    let release = std::env::temp_dir().join("sup_it_deploy_release");
+    let _ = std::fs::remove_file(&release);
     let mut config = test_config("sup_it_deploy_sockets", &dir_a);
     config.workers = 2;
+    config.worker_env = vec![(
+        "REPLICA_WORKER_FAULT".into(),
+        format!("hold-reload:{}", release.display()),
+    )];
     let supervisor = Supervisor::start(config).unwrap();
     assert!(supervisor.wait_all_up(Duration::from_secs(60)));
     let router = Arc::new(supervisor.router(RouterConfig::default()).unwrap());
@@ -441,9 +451,28 @@ fn rolling_deploy_promotes_and_bad_checkpoint_is_gated() {
             .expect("a client never got its first answer");
     }
 
+    // the pinned client: one answer from worker 1 stamped after the
+    // deploy started, then the release of worker 0's held Reload
+    let (started_tx, started_rx) = std::sync::mpsc::channel::<Instant>();
+    let pinned = {
+        let handle = supervisor.handles().remove(1);
+        let recipe = recipes[0].clone();
+        let release = release.clone();
+        std::thread::spawn(move || {
+            let started = started_rx.recv().unwrap();
+            let key = cuisine::featurize::entity_tokens(&recipe).join("\x1f");
+            let prediction = handle.classify_prepared(key, None).unwrap();
+            let at = Instant::now();
+            assert!(at > started);
+            std::fs::write(&release, b"go\n").unwrap();
+            vec![(recipe, prediction, at)]
+        })
+    };
+
     // roll B across the fleet under that traffic: every Up worker
     // reloads through its own warmup gate and reports a bumped version
     let deploy_started = Instant::now();
+    started_tx.send(deploy_started).unwrap();
     let promoted = supervisor.deploy(&dir_b).unwrap();
     let deploy_finished = Instant::now();
     stop.store(true, Ordering::Relaxed);
@@ -456,7 +485,7 @@ fn rolling_deploy_promotes_and_bad_checkpoint_is_gated() {
         );
     }
     let (mut total, mut during, mut neither) = (0usize, 0usize, 0usize);
-    for c in clients {
+    for c in clients.into_iter().chain([pinned]) {
         for (recipe, prediction, at) in c.join().unwrap() {
             total += 1;
             if at > deploy_started && at < deploy_finished {
@@ -519,6 +548,7 @@ fn rolling_deploy_promotes_and_bad_checkpoint_is_gated() {
     for dir in [dir_a, dir_b, broken, malformed] {
         std::fs::remove_dir_all(&dir).unwrap();
     }
+    std::fs::remove_file(&release).unwrap();
 }
 
 /// Two deploys racing on one fleet run one after the other: the workers
