@@ -25,7 +25,7 @@ pub use adaboost::{AdaBoost, AdaBoostConfig};
 pub use cv::{cross_val_accuracy, mean_std, stratified_kfold, Fold};
 pub use feature_selection::{chi2_scores, class_signatures, top_chi2};
 pub use forest::{RandomForest, RandomForestConfig};
-pub use io::{load_linear, save_linear, LinearModelSnapshot};
+pub use io::{load_linear, save_linear};
 pub use logreg::{LogisticRegression, LogisticRegressionConfig};
 pub use naive_bayes::{MultinomialNb, MultinomialNbConfig};
 pub use sgd::{LinearModel, SgdConfig};

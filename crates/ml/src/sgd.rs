@@ -89,6 +89,11 @@ impl LinearModel {
     pub fn classes(&self) -> usize {
         self.weights.len()
     }
+
+    /// Feature columns per class (0 for a model without classes).
+    pub fn width(&self) -> usize {
+        self.weights.first().map_or(0, Vec::len)
+    }
 }
 
 /// Trains a one-vs-rest linear model with SGD.

@@ -40,7 +40,7 @@ pub use bert::{BertClassifier, BertConfig, PretrainConfig, PretrainStats};
 pub use infer::{predict_proba_graph, FusedLstm};
 
 pub use checkpoint::{
-    crc32, load_checkpoint, load_checkpoint_with_state, save_checkpoint, save_checkpoint_v1,
+    load_checkpoint, load_checkpoint_with_state, save_checkpoint, save_checkpoint_v1,
     save_checkpoint_with_state, CheckpointManager, TrainState,
 };
 pub use layers::{Embedding, LayerNorm, Linear};

@@ -39,9 +39,16 @@
 //! anything malformed (bad CRC, oversized length, unknown kind) closes
 //! the connection, exactly like the thread-per-connection worker did —
 //! the client's one-retry-on-a-fresh-connection policy
-//! ([`RemoteReplica`](crate::RemoteReplica)) is the recovery path. When
-//! a connection closes with requests still queued, they leave at the
-//! next cut with no compute (`serve.loop.orphaned` counts them). Reply
+//! ([`RemoteReplica`](crate::RemoteReplica)) is the recovery path. A
+//! client that writes its requests and half-closes (`shutdown(Write)`)
+//! still gets every answer: EOF parses the frames already read, stops
+//! the loop polling the connection for input, and closes it once none
+//! of its requests is queued and its answers are written. A client that
+//! closes both directions (the poll reports a hangup) is closed as soon
+//! as the frames it wrote are parsed, so a `Shutdown` written just
+//! before the close (as `Supervisor::shutdown` does) is still honoured.
+//! When a connection closes with requests still queued, they leave at
+//! the next cut with no compute (`serve.loop.orphaned` counts them). Reply
 //! routes carry the slot's generation number, so a recycled slot can
 //! never receive a predecessor's answer. A model panic answers its
 //! batch `Canceled` and the loop keeps serving.
@@ -155,6 +162,11 @@ struct Conn {
     wbuf: Vec<u8>,
     wpos: usize,
     close_after_flush: bool,
+    /// The client half-closed: no more frames will come, but the answers
+    /// it is owed still go out before the connection closes.
+    read_closed: bool,
+    /// This connection's requests still in the queue.
+    queued: usize,
 }
 
 impl Conn {
@@ -189,6 +201,11 @@ impl Conn {
 
     fn has_pending_writes(&self) -> bool {
         self.wpos < self.wbuf.len()
+    }
+
+    /// Half-closed, with every answer it is owed written.
+    fn finished(&self) -> bool {
+        self.read_closed && self.queued == 0 && !self.has_pending_writes()
     }
 }
 
@@ -249,6 +266,7 @@ impl Replies<Route> for LoopState {
             ORPHANED.incr();
             return;
         };
+        conn.queued -= 1;
         let id = route.request_id;
         match result {
             Ok(prediction) => {
@@ -316,11 +334,12 @@ pub fn run(
     let mut next_gen: u64 = 0;
 
     loop {
-        // 1. push buffered bytes out
+        // 1. push buffered bytes out; a half-closed connection closes
+        // once it is owed nothing more
         for slot in 0..state.conns.len() {
             let done = state.conns[slot]
                 .as_mut()
-                .is_some_and(|c| c.has_pending_writes() && c.flush().is_err());
+                .is_some_and(|c| (c.has_pending_writes() && c.flush().is_err()) || c.finished());
             if done {
                 state.close(slot);
             }
@@ -338,7 +357,10 @@ pub fn run(
         let mut fd_slots = Vec::with_capacity(state.conns.len());
         for (slot, conn) in state.conns.iter().enumerate() {
             if let Some(c) = conn {
-                let mut events = POLLIN;
+                // EOF stays readable, so a half-closed connection is not
+                // polled for input (the loop would spin); a hangup is
+                // reported whatever the events
+                let mut events = if c.read_closed { 0 } else { POLLIN };
                 if c.has_pending_writes() {
                     events |= POLLOUT;
                 }
@@ -370,6 +392,8 @@ pub fn run(
                             wbuf: Vec::new(),
                             wpos: 0,
                             close_after_flush: false,
+                            read_closed: false,
+                            queued: 0,
                         };
                         match state.conns.iter().position(Option::is_none) {
                             Some(slot) => state.conns[slot] = Some(conn),
@@ -392,13 +416,15 @@ pub fn run(
         // 4. read + parse frames from every readable connection
         let offset = fds.len() - fd_slots.len();
         for (i, &slot) in fd_slots.iter().enumerate() {
-            if !fds[offset + i].readable() {
+            let fd = fds[offset + i];
+            if !fd.readable() {
                 continue;
             }
             let verdict = match state.conns[slot].as_mut() {
                 Some(conn) => pump_connection(
                     conn,
                     slot,
+                    fd.hung_up(),
                     &mut queue,
                     &step,
                     &mut state.fault,
@@ -457,10 +483,14 @@ fn final_flush(state: &mut LoopState) {
 
 /// Reads whatever the socket has, parses complete frames, and handles
 /// each decoded request: a `Classify` joins the queue for the next cut,
-/// the rest are answered in place.
+/// the rest are answered in place. EOF marks the connection read-closed
+/// once the frames read before it are parsed; it closes when it is owed
+/// nothing more, or at once when the client `hung_up` (closed both
+/// directions), whose queued requests then leave uncomputed.
 fn pump_connection(
     conn: &mut Conn,
     slot: usize,
+    hung_up: bool,
     queue: &mut VecDeque<Pending<Route>>,
     step: &BatchStep,
     fault: &mut Option<FaultHook>,
@@ -468,9 +498,9 @@ fn pump_connection(
 ) -> ConnVerdict {
     // non-blocking read until WouldBlock or EOF
     let mut chunk = [0u8; 4096];
-    loop {
+    while !conn.read_closed {
         match conn.stream.read(&mut chunk) {
-            Ok(0) => return ConnVerdict::Close,
+            Ok(0) => conn.read_closed = true,
             Ok(n) => conn.rbuf.extend_from_slice(&chunk[..n]),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -523,6 +553,7 @@ fn pump_connection(
                     queue,
                     Pending::new(tokens, key, Instant::now(), deadline, route),
                 );
+                conn.queued += 1;
             }
             Request::Ping { id } => {
                 let depth = queue.len() as u64;
@@ -551,7 +582,7 @@ fn pump_connection(
     }
 
     conn.rbuf.drain(..consumed);
-    if conn.flush().is_err() {
+    if hung_up || conn.flush().is_err() || conn.finished() {
         return ConnVerdict::Close;
     }
     ConnVerdict::Keep

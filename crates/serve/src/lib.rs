@@ -1,7 +1,7 @@
 //! Batched inference serving for trained cuisine classifiers.
 //!
 //! This crate turns the artifacts the training stack writes to disk —
-//! `cuisine-checkpoint-v2` weight files from `nn`, `cuisine-linear-v1`
+//! `cuisine-checkpoint-v2` weight files from `nn`, `cuisine-linear-v2`
 //! snapshots from `ml` — into a running, hot-swappable prediction
 //! service:
 //!

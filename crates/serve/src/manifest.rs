@@ -11,7 +11,7 @@
 //! <dir>/manifest.json        this file (architecture + featurizer state)
 //! <dir>/latest.ckpt          nn models: CheckpointManager layout
 //! <dir>/previous.ckpt        nn models: rollback target (optional)
-//! <dir>/linear.json          linear models: ml::io snapshot
+//! <dir>/linear.bin           linear models: ml::io snapshot (cuisine-linear-v2)
 //! ```
 //!
 //! One flat struct covers every kind; fields that don't apply to a kind
@@ -35,7 +35,7 @@ pub const MANIFEST_FORMAT: &str = "cuisine-serve-manifest-v1";
 pub const MANIFEST_FILE: &str = "manifest.json";
 
 /// File name of the linear-model snapshot inside a model directory.
-pub const LINEAR_FILE: &str = "linear.json";
+pub const LINEAR_FILE: &str = "linear.bin";
 
 /// Everything the registry needs to reconstruct a servable model from a
 /// directory of weights.

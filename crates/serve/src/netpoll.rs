@@ -66,6 +66,13 @@ impl PollFd {
     pub fn writable(&self) -> bool {
         self.revents & (POLLOUT | POLLHUP | POLLERR | POLLNVAL) != 0
     }
+
+    /// Whether the descriptor is done for: the peer closed both
+    /// directions, or an error was reported. A unix-socket peer that only
+    /// half-closed (`shutdown(Write)`) reports `POLLIN` here, not a hangup.
+    pub fn hung_up(&self) -> bool {
+        self.revents & (POLLHUP | POLLERR | POLLNVAL) != 0
+    }
 }
 
 /// Blocks until at least one descriptor in `fds` is ready, `timeout`

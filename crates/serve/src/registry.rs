@@ -136,7 +136,8 @@ impl ModelRegistry {
     ///
     /// The directory must hold a `manifest.json` plus the weights it
     /// points at: a `CheckpointManager`-layout checkpoint pair for
-    /// sequence models, or a `linear.json` snapshot for linear models.
+    /// sequence models, or a `linear.bin` snapshot (`cuisine-linear-v2`)
+    /// for linear models.
     /// Reloading an existing name atomically swaps the entry — callers
     /// that already resolved the old `Arc` keep it until they next look
     /// the name up.
@@ -144,8 +145,9 @@ impl ModelRegistry {
     /// # Errors
     ///
     /// Any manifest or weight-file error (missing files, checksum or
-    /// architecture mismatch) is returned and the previously loaded
-    /// version, if any, stays in place.
+    /// architecture mismatch, a linear snapshot whose class count or
+    /// width disagrees with the manifest) is returned and the previously
+    /// loaded version, if any, stays in place.
     pub fn load(&self, name: &str, dir: &Path) -> io::Result<Arc<LoadedModel>> {
         let _span = trace::span("serve.registry.load");
         let manifest = ModelManifest::load(dir)?;
@@ -173,17 +175,7 @@ impl ModelRegistry {
                 }
             }
             "linear" => {
-                let model = ml::load_linear(&dir.join(LINEAR_FILE))?;
-                if model.classes() != manifest.classes {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "linear snapshot has {} classes, manifest says {}",
-                            model.classes(),
-                            manifest.classes
-                        ),
-                    ));
-                }
+                let model = load_linear(dir, &manifest)?;
                 Box::new(LinearServing::new(
                     model,
                     manifest.tfidf_terms,
@@ -308,6 +300,35 @@ fn invalid_warmup(model: &dyn ServingModel, what: &str) -> io::Error {
     )
 }
 
+/// Reads `dir`'s linear snapshot and checks its shape against the
+/// manifest, so a snapshot of another vocabulary fails the load here
+/// rather than indexing past its weight rows in the first batch.
+fn load_linear(dir: &Path, manifest: &ModelManifest) -> io::Result<ml::LinearModel> {
+    let model = ml::load_linear(&dir.join(LINEAR_FILE)).map_err(|e| {
+        if e.kind() == io::ErrorKind::NotFound {
+            io::Error::new(
+                io::ErrorKind::NotFound,
+                format!("no linear snapshot ({LINEAR_FILE}) in {}", dir.display()),
+            )
+        } else {
+            e
+        }
+    })?;
+    let columns = manifest.tfidf_terms.len();
+    if model.classes() != manifest.classes || model.width() != columns {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "linear snapshot is {} classes × {} columns, manifest says {} × {columns}",
+                model.classes(),
+                model.width(),
+                manifest.classes
+            ),
+        ));
+    }
+    Ok(model)
+}
+
 fn restore<M: SequenceModel>(dir: &Path, model: &mut M) -> io::Result<()> {
     let found = CheckpointManager::new(dir)?.load_latest(model.store_mut())?;
     if found.is_none() {
@@ -332,7 +353,7 @@ mod tests {
     use nn::{predict_proba_graph, save_checkpoint, LstmConfig, LstmPooling};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use textproc::Vocabulary;
+    use textproc::{TfIdfConfig, TfIdfVectorizer, Vocabulary};
 
     fn vocab() -> Vocabulary {
         Vocabulary::from_tokens(["stir", "onion", "bake"].map(String::from))
@@ -521,6 +542,83 @@ mod tests {
         assert!(registry.load("lstm", &dir).is_err());
         // …and the registry still serves the old version
         assert_eq!(registry.get("lstm").unwrap().version(), v1.version());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Writes a servable linear directory: a manifest over a 3-column
+    /// TF-IDF vectorizer and `model`'s snapshot.
+    fn write_linear_dir(dir: &Path, model: &ml::LinearModel) {
+        std::fs::create_dir_all(dir).unwrap();
+        let mut tv = TfIdfVectorizer::new(TfIdfConfig::default());
+        tv.fit(&[vec!["stir", "onion"], vec!["bake", "stir"]]);
+        assert_eq!(tv.vocab_size(), 3);
+        ModelManifest::linear(3, &tv).save(dir).unwrap();
+        ml::save_linear(model, &dir.join(LINEAR_FILE)).unwrap();
+    }
+
+    /// A 3-class linear model over `width` columns.
+    fn linear_model(width: usize) -> ml::LinearModel {
+        ml::LinearModel {
+            weights: (0..3)
+                .map(|c| (0..width).map(|j| (c * width + j) as f32 * 0.25).collect())
+                .collect(),
+            bias: vec![0.5, -0.5, 0.0],
+        }
+    }
+
+    #[test]
+    fn corrupt_linear_snapshot_fails_and_keeps_previous_version() {
+        let dir = std::env::temp_dir().join("serve_registry_linear_corrupt");
+        let _ = std::fs::remove_dir_all(&dir);
+        write_linear_dir(&dir, &linear_model(3));
+        let registry = ModelRegistry::new();
+        let v1 = registry.load("linear", &dir).unwrap();
+        assert_eq!(v1.kind(), "linear");
+
+        // one flipped weight bit: the snapshot's CRC no longer matches
+        let path = dir.join(LINEAR_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        *bytes.last_mut().unwrap() ^= 0x01;
+        std::fs::write(&path, bytes).unwrap();
+        let err = registry.load("linear", &dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("checksum"), "{err}");
+        assert_eq!(registry.get("linear").unwrap().version(), v1.version());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn linear_snapshot_of_another_width_fails_before_warmup() {
+        let dir = std::env::temp_dir().join("serve_registry_linear_width");
+        let _ = std::fs::remove_dir_all(&dir);
+        let registry = ModelRegistry::new();
+        // narrower and wider than the manifest's 3 TF-IDF terms
+        for width in [2, 5] {
+            write_linear_dir(&dir, &linear_model(width));
+            let err = registry.load("linear", &dir).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            let text = err.to_string();
+            assert!(text.contains(&format!("× {width} columns")), "{text}");
+            assert!(!text.contains("warmup"), "{text}");
+        }
+        assert!(registry.get("linear").is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn legacy_linear_json_is_not_found_naming_linear_bin() {
+        let dir = std::env::temp_dir().join("serve_registry_linear_legacy");
+        let _ = std::fs::remove_dir_all(&dir);
+        write_linear_dir(&dir, &linear_model(3));
+        std::fs::remove_file(dir.join(LINEAR_FILE)).unwrap();
+        std::fs::write(
+            dir.join("linear.json"),
+            r#"{"format":"cuisine-linear-v1","weights":[[0.0,0.0,0.0]],"bias":[0.0]}"#,
+        )
+        .unwrap();
+        let err = ModelRegistry::new().load("linear", &dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound, "{err}");
+        assert!(err.to_string().contains("linear.bin"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -52,9 +52,13 @@
 //! the worker-side warmup gate again before publishing. A failure
 //! mid-roll reloads the previous checkpoint on every already-promoted
 //! worker. Workers that respawn later load whatever directory the last
-//! successful deploy promoted. One deploy runs at a time: a second call
-//! waits for the first to finish, so two rolls never interleave their
-//! reloads and leave the workers on different checkpoints.
+//! successful deploy promoted. A worker that respawns *during* the roll
+//! loads the previous directory and is missing from the roll's snapshot
+//! of Up slots, so once respawns point at the new directory, every slot
+//! spawned since the snapshot reloads it before `deploy` returns. One
+//! deploy runs at a time: a second call waits for the first to finish,
+//! so two rolls never interleave their reloads and leave the workers on
+//! different checkpoints.
 //!
 //! # Metrics
 //!
@@ -295,6 +299,13 @@ impl Inner {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .clone()
     }
+
+    fn set_model_dir(&self, dir: &Path) {
+        *self
+            .model_dir
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = dir.to_path_buf();
+    }
 }
 
 fn spawn_worker(
@@ -354,8 +365,10 @@ fn schedule_respawn(slot: &mut Slot, index: usize, config: &SupervisorConfig, no
 }
 
 fn supervise_tick(inner: &Inner) {
-    let now = Instant::now();
     let mut slots = inner.lock_slots();
+    // read the clock under the lock: a spawn is then stamped after any
+    // deploy snapshot that came before it (see `Supervisor::deploy`)
+    let now = Instant::now();
     for i in 0..slots.len() {
         let slot = &mut slots[i];
         match slot.phase {
@@ -628,12 +641,14 @@ impl Supervisor {
 
     /// Rolls checkpoint `dir` across the fleet: gate it once in-process
     /// (the pre-promotion gate — a bad checkpoint is rejected before any
-    /// worker is touched), then `Reload` each Up worker in slot order,
-    /// each running its own warmup gate before publishing. On a mid-roll
-    /// failure every already-promoted worker reloads the previous
-    /// checkpoint. Respawns after a successful deploy load the new
-    /// directory. Concurrent calls run one after another, never
-    /// interleaved.
+    /// worker is touched), then `Reload` each Up worker in slot order
+    /// once it answers a ping, each running its own warmup gate before
+    /// publishing. Then respawns move to `dir`, and every slot spawned
+    /// since the roll began (it loaded the previous directory) reloads
+    /// `dir` too, so the whole fleet serves `dir` when this returns. On
+    /// any worker's failure every already-promoted worker reloads the
+    /// previous checkpoint and respawns go back to it. Concurrent calls
+    /// run one after another, never interleaved.
     ///
     /// Returns `(slot, published version)` for each reloaded worker.
     ///
@@ -655,39 +670,84 @@ impl Supervisor {
         let previous = self.inner.current_model_dir();
         // snapshot Up slots, then release the lock: reloads are slow and
         // the supervise thread must keep ticking under them
-        let up: Vec<(usize, Arc<RemoteReplica>)> = self
-            .inner
-            .lock_slots()
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.phase == WorkerPhase::Up)
-            .map(|(i, s)| (i, Arc::clone(&s.replica)))
-            .collect();
+        let (up, roll_started) = self.up_slots(|_| true);
         if up.is_empty() {
             return Err(ServeError::Internal("no worker is up to deploy to".into()));
         }
-        let budget = self.inner.config.start_grace;
         let mut promoted = Vec::with_capacity(up.len());
-        for (k, (i, replica)) in up.iter().enumerate() {
-            match replica.reload(dir, budget) {
-                Ok(version) => promoted.push((*i, version)),
-                Err(e) => {
-                    for (_, back) in &up[..k] {
-                        let _ = back.reload(&previous, budget);
-                    }
-                    ROLLBACKS.incr();
-                    return Err(ServeError::DeployFailed(format!(
-                        "worker {i} rejected the checkpoint (fleet rolled back): {e}"
-                    )));
-                }
-            }
+        for i in up {
+            self.promote(i, dir, &previous, &mut promoted)?;
         }
-        *self
-            .inner
-            .model_dir
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = dir.to_path_buf();
+        // a slot that respawned during the roll (in Backoff at the
+        // snapshot, or killed after its reload) loaded `previous`:
+        // respawns move to `dir` first, so none is missed, then those
+        // slots reload
+        self.inner.set_model_dir(dir);
+        let (respawned, _) = self.up_slots(|s| s.spawned_at >= roll_started);
+        for i in respawned {
+            self.promote(i, dir, &previous, &mut promoted)?;
+        }
         Ok(promoted)
+    }
+
+    /// Reloads `dir` on slot `i` once it answers a ping, recording the
+    /// published version in `promoted` (a slot reloaded twice keeps its
+    /// place with the newer version). On failure the fleet rolls back to
+    /// `previous`.
+    fn promote(
+        &self,
+        i: usize,
+        dir: &Path,
+        previous: &Path,
+        promoted: &mut Vec<(usize, u64)>,
+    ) -> Result<(), ServeError> {
+        let budget = self.inner.config.start_grace;
+        let reloaded = if self.wait_up(i, budget) {
+            self.handles()[i].reload(dir, budget)
+        } else {
+            Err(ServeError::Transport("never answered a ping".into()))
+        };
+        match reloaded {
+            Ok(version) => {
+                match promoted.iter_mut().find(|(slot, _)| *slot == i) {
+                    Some(entry) => entry.1 = version,
+                    None => promoted.push((i, version)),
+                }
+                Ok(())
+            }
+            Err(e) => Err(self.roll_back(
+                promoted,
+                previous,
+                format!("worker {i} rejected the checkpoint (fleet rolled back): {e}"),
+            )),
+        }
+    }
+
+    /// The Up slots `keep` admits, and the instant of the look. The clock
+    /// is read under the slots lock, so any later spawn is stamped at or
+    /// after it.
+    fn up_slots(&self, keep: impl Fn(&Slot) -> bool) -> (Vec<usize>, Instant) {
+        let slots = self.inner.lock_slots();
+        let at = Instant::now();
+        let up = slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.phase == WorkerPhase::Up && keep(s))
+            .map(|(i, _)| i)
+            .collect();
+        (up, at)
+    }
+
+    /// Points respawns back at `previous`, reloads it on every promoted
+    /// worker, and reports `why`.
+    fn roll_back(&self, promoted: &[(usize, u64)], previous: &Path, why: String) -> ServeError {
+        self.inner.set_model_dir(previous);
+        let handles = self.handles();
+        for &(i, _) in promoted {
+            let _ = handles[i].reload(previous, self.inner.config.start_grace);
+        }
+        ROLLBACKS.incr();
+        ServeError::DeployFailed(why)
     }
 
     /// Stops the supervise thread, asks each worker to drain and exit,

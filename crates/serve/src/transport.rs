@@ -8,8 +8,8 @@
 //!
 //! ```text
 //! length    4 B  u32 LE, payload byte count (capped at 16 MiB)
-//! crc32     4 B  IEEE CRC32 of the payload (same polynomial and table
-//!                as checkpoint-v2 — `nn::crc32`)
+//! crc32     4 B  IEEE CRC32 of the payload (the checksum checkpoint-v2
+//!                files use too — `trace::crc32`)
 //! payload   variable
 //! ```
 //!
@@ -268,7 +268,7 @@ const FRAME_HEADER: usize = 8;
 pub(crate) fn append_frame(buf: &mut Vec<u8>, payload: &[u8]) {
     buf.reserve(FRAME_HEADER + payload.len());
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&nn::crc32(payload).to_le_bytes());
+    buf.extend_from_slice(&trace::crc32(payload).to_le_bytes());
     buf.extend_from_slice(payload);
     FRAMES.incr();
 }
@@ -302,7 +302,7 @@ pub(crate) fn split_frame(buf: &[u8]) -> io::Result<Option<(&[u8], usize)>> {
     let Some(payload) = buf.get(FRAME_HEADER..end) else {
         return Ok(None);
     };
-    if nn::crc32(payload) != u32::from_le_bytes([head[4], head[5], head[6], head[7]]) {
+    if trace::crc32(payload) != u32::from_le_bytes([head[4], head[5], head[6], head[7]]) {
         return Err(invalid("frame CRC mismatch"));
     }
     FRAMES.incr();
@@ -957,7 +957,7 @@ mod tests {
             "appender and writer put the same bytes on the wire"
         );
         let mut first = vec![5, 0, 0, 0];
-        first.extend_from_slice(&nn::crc32(b"first").to_le_bytes());
+        first.extend_from_slice(&trace::crc32(b"first").to_le_bytes());
         first.extend_from_slice(b"first");
         assert_eq!(
             stream[..first.len()],

@@ -46,13 +46,21 @@
 //! assert!(snap.counter("doc.requests").unwrap() >= 1);
 //! assert!(snap.span_total_ns("doc.handle") > 0);
 //! ```
+//!
+//! # The workspace checksum
+//!
+//! [`crc32`] is the one CRC-32 of the workspace (checkpoint-v2 files,
+//! linear-model snapshots and serving wire frames). It lives here only
+//! because every crate that checks one already depends on `trace`.
 
 #![warn(missing_docs)]
 
+mod crc;
 mod json;
 mod metrics;
 mod span;
 
+pub use crc::crc32;
 pub use json::escape as json_escape;
 pub use metrics::{Counter, Gauge, MetricKind, MetricValue, MetricsRegistry};
 pub use span::{span, SpanGuard, SpanRecord};

@@ -1,6 +1,8 @@
-//! Train → save → reload → serve: persist a fitted Logistic Regression to
-//! JSON and classify with the reloaded copy, the deployment path of a
-//! recipe-recommendation service built on this library.
+//! Train → save → reload → serve: persist a fitted Logistic Regression as
+//! a `cuisine-linear-v2` snapshot and classify with the reloaded copy, the
+//! deployment path of a recipe-recommendation service built on this
+//! library. Exits non-zero unless the reloaded model's decision scores
+//! are bit-identical to the fitted model's on every test recipe.
 //!
 //! Run with: `cargo run --release --example persist_model`
 
@@ -20,7 +22,7 @@ fn main() {
     let mut model = LogisticRegression::default();
     model.fit(&train_x, &train_y);
 
-    let path = std::env::temp_dir().join("cuisine_logreg.json");
+    let path = std::env::temp_dir().join("cuisine_logreg.bin");
     save_linear(model.linear_model(), &path).expect("save model");
     println!(
         "saved to {} ({} bytes)",
@@ -29,10 +31,16 @@ fn main() {
     );
 
     let restored = load_linear(&path).expect("load model");
+    std::fs::remove_file(&path).ok();
     println!("reloaded; serving predictions from the restored weights:");
+    let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
     let mut correct = 0usize;
+    let mut mismatched = 0usize;
     for (r, &gold) in test_y.iter().enumerate() {
         let scores = restored.decision_row(&test_x, r);
+        if bits(&scores) != bits(&model.linear_model().decision_row(&test_x, r)) {
+            mismatched += 1;
+        }
         let pred = scores
             .iter()
             .enumerate()
@@ -54,5 +62,15 @@ fn main() {
         "\nrestored-model test accuracy: {:.2}%",
         correct as f64 / test_x.rows() as f64 * 100.0
     );
-    std::fs::remove_file(&path).ok();
+    if mismatched > 0 {
+        eprintln!(
+            "{mismatched} of {} test rows score differently after the reload",
+            test_y.len()
+        );
+        std::process::exit(1);
+    }
+    println!(
+        "all {} test rows score bit-identically after the reload",
+        test_y.len()
+    );
 }

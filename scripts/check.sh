@@ -26,6 +26,11 @@ cargo test -q
 echo "== exhaustive activation check (release) =="
 cargo test -q --release -p tensor --lib exhaustive -- --ignored
 
+# Train -> save -> reload of the linear model: the example exits non-zero
+# unless the reloaded snapshot scores every test row bit-identically.
+echo "== linear model persistence (persist_model example) =="
+cargo run --release -q -p cuisine --example persist_model
+
 # The benchmark harness is its own package (perfbench/, outside the
 # workspace); its helper tests pin the arrival schedules, percentile
 # rules and key-hash placement its figures rest on.

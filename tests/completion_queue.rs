@@ -11,13 +11,13 @@
 //! check.sh runs this suite at several `TENSOR_THREADS` settings.
 
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use serve::eventloop::{self, EventLoopConfig, LoopExit};
 use serve::transport::{
@@ -80,6 +80,61 @@ impl ServingModel for CountModel {
                 vec![n / total, 1.0 / total, 1.0 / total]
             })
             .collect()
+    }
+}
+
+/// Holds forward passes until the test opens it.
+#[derive(Default)]
+struct Gate {
+    open: Mutex<bool>,
+    opened: Condvar,
+    held: AtomicUsize,
+}
+
+impl Gate {
+    fn pass(&self) {
+        self.held.fetch_add(1, Ordering::SeqCst);
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.opened.wait(open).unwrap();
+        }
+    }
+
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+
+    /// Spins until a forward pass waits at the closed gate.
+    fn wait_until_held(&self) {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while self.held.load(Ordering::SeqCst) == 0 {
+            assert!(Instant::now() < give_up, "no forward pass reached the gate");
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// A [`CountModel`] whose forward passes wait at a [`Gate`]: holds the
+/// event loop inside a batch for as long as a test needs.
+struct GatedModel {
+    gate: Arc<Gate>,
+    inner: CountModel,
+}
+
+impl ServingModel for GatedModel {
+    fn kind(&self) -> &'static str {
+        "gated"
+    }
+    fn num_classes(&self) -> usize {
+        self.inner.num_classes()
+    }
+    fn featurize(&self, tokens: &[String]) -> Features {
+        self.inner.featurize(tokens)
+    }
+    fn predict(&self, batch: &[&Features]) -> Vec<Vec<f64>> {
+        self.gate.pass();
+        self.inner.predict(batch)
     }
 }
 
@@ -462,6 +517,61 @@ fn event_loop_answers_a_panicking_batch_canceled_and_keeps_serving() {
     }
 
     write_frame(&mut conn, &encode_request(&Request::Shutdown { id: 3 })).unwrap();
+    let exit = loop_thread.join().unwrap().unwrap();
+    assert_eq!(exit, LoopExit::ShutdownRequested);
+    let _ = std::fs::remove_file(&socket);
+}
+
+#[test]
+fn event_loop_answers_requests_that_arrive_with_a_half_close() {
+    let gate = Arc::new(Gate::default());
+    let registry = Arc::new(ModelRegistry::new());
+    // warmup would wait at the closed gate; the gate is the fixture
+    registry.set_warmup(false);
+    let model = GatedModel {
+        gate: Arc::clone(&gate),
+        inner: CountModel::new(Duration::ZERO),
+    };
+    registry.publish("count", Box::new(model)).unwrap();
+    let (socket, loop_thread) = spawn_loop("halfclose", &registry, ServeConfig::default());
+
+    // hold the loop inside a batch
+    let mut holder = UnixStream::connect(&socket).unwrap();
+    holder
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    write_frame(&mut holder, &classify_frame(1, "soy\x1fginger\x1frice")).unwrap();
+    gate.wait_until_held();
+
+    // meanwhile one request and the client's half-close arrive together
+    let mut client = UnixStream::connect(&socket).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    write_frame(&mut client, &classify_frame(2, "soy\x1fginger")).unwrap();
+    client.shutdown(std::net::Shutdown::Write).unwrap();
+    gate.open();
+
+    let model = CountModel::new(Duration::ZERO);
+    let expected = model.predict(&[&model.featurize(&["soy".into(), "ginger".into()])]);
+    let bits = |probs: &[f64]| probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+    match decode_response(&read_frame(&mut client).unwrap()).unwrap() {
+        Response::Prediction { id, prediction } => {
+            assert_eq!(id, 2);
+            assert_eq!(bits(&prediction.probs), bits(&expected[0]));
+            assert_eq!(prediction.top_class, 0);
+        }
+        other => panic!("expected Prediction, got {other:?}"),
+    }
+    // then EOF: the loop closes the connection once it owes it nothing
+    let mut rest = Vec::new();
+    assert_eq!(client.read_to_end(&mut rest).unwrap(), 0, "{rest:?}");
+
+    match decode_response(&read_frame(&mut holder).unwrap()).unwrap() {
+        Response::Prediction { id, .. } => assert_eq!(id, 1),
+        other => panic!("expected Prediction, got {other:?}"),
+    }
+    write_frame(&mut holder, &encode_request(&Request::Shutdown { id: 3 })).unwrap();
     let exit = loop_thread.join().unwrap().unwrap();
     assert_eq!(exit, LoopExit::ShutdownRequested);
     let _ = std::fs::remove_file(&socket);

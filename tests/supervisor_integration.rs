@@ -551,6 +551,97 @@ fn rolling_deploy_promotes_and_bad_checkpoint_is_gated() {
     std::fs::remove_file(&release).unwrap();
 }
 
+/// A worker that respawns while a deploy rolls loads the old directory
+/// and is missing from the roll's snapshot of Up slots; the deploy must
+/// still leave it on the new checkpoint.
+#[test]
+fn worker_respawned_during_a_deploy_ends_on_the_new_checkpoint() {
+    trace::enable();
+    let dir_a = temp_dir("sup_it_respawn_a");
+    let dir_b = temp_dir("sup_it_respawn_b");
+    let model_a = train_and_export_seeded(&dir_a, 42);
+    let model_b = train_and_export_seeded(&dir_b, 4242);
+    let recipes = spread_recipes(8);
+    let answers_of = |model: &LstmClassifier| -> Vec<Vec<f64>> {
+        recipes.iter().map(|r| reference_probs(model, r)).collect()
+    };
+    let (from_a, from_b) = (answers_of(&model_a), answers_of(&model_b));
+    assert_ne!(
+        from_a, from_b,
+        "seeds 42 and 4242 produced identical models"
+    );
+
+    // worker 0 holds its first Reload until `release` exists, and a
+    // killed worker waits out a fixed 2 s backoff: long enough that it is
+    // still in Backoff when the deploy snapshots the Up slots
+    let release = std::env::temp_dir().join("sup_it_respawn_release");
+    let _ = std::fs::remove_file(&release);
+    let mut config = test_config("sup_it_respawn_sockets", &dir_a);
+    config.workers = 2;
+    config.backoff_base = Duration::from_secs(2);
+    config.backoff_cap = Duration::from_secs(2);
+    config.worker_env = vec![(
+        "REPLICA_WORKER_FAULT".into(),
+        format!("hold-reload:{}", release.display()),
+    )];
+    let supervisor = Arc::new(Supervisor::start(config).unwrap());
+    assert!(supervisor.wait_all_up(Duration::from_secs(60)));
+    let handles = supervisor.handles();
+
+    let killed = supervisor.kill_worker(1).expect("worker 1 has a pid");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while supervisor.phases()[1] != WorkerPhase::Backoff {
+        assert!(
+            Instant::now() < deadline,
+            "the killed worker never entered Backoff: {:?}",
+            supervisor.phases()
+        );
+        std::thread::yield_now();
+    }
+
+    // the roll: worker 0 is the only Up slot and holds its Reload
+    let deploy = {
+        let supervisor = Arc::clone(&supervisor);
+        let dir_b = dir_b.clone();
+        std::thread::spawn(move || supervisor.deploy(&dir_b))
+    };
+
+    // worker 1 respawns inside the roll, onto checkpoint A
+    assert!(
+        supervisor.wait_up(1, Duration::from_secs(60)),
+        "worker 1 never respawned: {:?}",
+        supervisor.phases()
+    );
+    assert_ne!(supervisor.worker_pid(1), Some(killed));
+    let respawned: Vec<Vec<f64>> = recipes
+        .iter()
+        .map(|r| classify_on(&handles[1], r))
+        .collect();
+    assert_eq!(
+        respawned, from_a,
+        "the respawn must load the pre-deploy checkpoint"
+    );
+    std::fs::write(&release, b"go\n").unwrap();
+
+    let promoted = deploy.join().unwrap().expect("the deploy must succeed");
+    for (i, handle) in handles.iter().enumerate() {
+        let served: Vec<Vec<f64>> = recipes.iter().map(|r| classify_on(handle, r)).collect();
+        assert_eq!(
+            served, from_b,
+            "worker {i} is not on checkpoint B after the deploy"
+        );
+    }
+    let slots: Vec<usize> = promoted.iter().map(|&(slot, _)| slot).collect();
+    assert_eq!(slots, [0, 1], "both workers must be promoted: {promoted:?}");
+
+    drop(handles);
+    drop(supervisor);
+    for dir in [dir_a, dir_b] {
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    std::fs::remove_file(&release).unwrap();
+}
+
 /// Two deploys racing on one fleet run one after the other: the workers
 /// end on a single checkpoint, and the supervisor respawns a killed
 /// worker onto that same checkpoint.
