@@ -145,7 +145,10 @@ impl Op {
             Op::Gelu(a) => {
                 let x = &nodes[*a].value;
                 let mut d = grad.clone();
-                d.zip_inplace(x, |g, x| g * gelu_derivative(x));
+                // fully overwritten with the tanh arguments
+                let mut t = scratch.take(x.rows(), x.cols());
+                gelu_backward(x.as_slice(), t.as_mut_slice(), d.as_mut_slice());
+                scratch.give(t);
                 accumulate(grads, *a, d, scratch);
             }
             Op::SoftmaxRows(a) => {
@@ -297,18 +300,36 @@ impl Op {
     }
 }
 
-#[inline]
-fn gelu(x: f32) -> f32 {
-    0.5 * x * (1.0 + (GELU_C * (x + 0.044_715 * x * x * x)).tanh())
+/// GELU of every element of `x`, into `out`: each `tanh` argument
+/// first, then one pass of the slice kernel [`tensor::tanh_in_place`]
+/// (which equals `tanhf` on every input), then the rest elementwise. Each
+/// expression keeps the per-element formula's operation order, so the
+/// values are that formula's, bit for bit.
+fn gelu(x: &[f32], out: &mut [f32]) {
+    for (o, &x) in out.iter_mut().zip(x) {
+        *o = GELU_C * (x + 0.044_715 * x * x * x);
+    }
+    tensor::tanh_in_place(out);
+    for (o, &x) in out.iter_mut().zip(x) {
+        *o = 0.5 * x * (1.0 + *o);
+    }
 }
 
-#[inline]
-fn gelu_derivative(x: f32) -> f32 {
-    let x3 = x * x * x;
-    let inner = GELU_C * (x + 0.044_715 * x3);
-    let t = inner.tanh();
-    let sech2 = 1.0 - t * t;
-    0.5 * (1.0 + t) + 0.5 * x * sech2 * GELU_C * (1.0 + 3.0 * 0.044_715 * x * x)
+/// `grad · GELU'(x)` elementwise, in place over `grad`, with `t` as the
+/// buffer for the `tanh` values. The derivative recomputes its own `tanh`
+/// argument rather than reuse the forward's: it cubes `x` before scaling
+/// (`0.044_715 * x3`), the forward scales first (`0.044_715 * x * x *
+/// x`), and the two can differ in the last bit.
+fn gelu_backward(x: &[f32], t: &mut [f32], grad: &mut [f32]) {
+    for (t, &x) in t.iter_mut().zip(x) {
+        let x3 = x * x * x;
+        *t = GELU_C * (x + 0.044_715 * x3);
+    }
+    tensor::tanh_in_place(t);
+    for ((g, &t), &x) in grad.iter_mut().zip(&*t).zip(x) {
+        let sech2 = 1.0 - t * t;
+        *g *= 0.5 * (1.0 + t) + 0.5 * x * sech2 * GELU_C * (1.0 + 3.0 * 0.044_715 * x * x);
+    }
 }
 
 impl Graph<'_> {
@@ -385,7 +406,9 @@ impl Graph<'_> {
 
     /// GELU activation (tanh approximation, as in BERT).
     pub fn gelu(&mut self, a: VarId) -> VarId {
-        let value = self.value(a).map(gelu);
+        let x = self.value(a);
+        let mut value = Tensor::zeros(x.rows(), x.cols());
+        gelu(x.as_slice(), value.as_mut_slice());
         self.push(value, Op::Gelu(a.0))
     }
 
@@ -586,6 +609,96 @@ impl Graph<'_> {
 mod tests {
     use super::*;
     use crate::ParamStore;
+
+    /// GELU as the one per-element expression it always was, through the
+    /// scalar `tanh` that the slice kernel equals on every input.
+    fn gelu_reference(x: f32) -> f32 {
+        0.5 * x * (1.0 + tensor::activation::tanh(GELU_C * (x + 0.044_715 * x * x * x)))
+    }
+
+    fn gelu_derivative_reference(x: f32) -> f32 {
+        let x3 = x * x * x;
+        let inner = GELU_C * (x + 0.044_715 * x3);
+        let t = tensor::activation::tanh(inner);
+        let sech2 = 1.0 - t * t;
+        0.5 * (1.0 + t) + 0.5 * x * sech2 * GELU_C * (1.0 + 3.0 * 0.044_715 * x * x)
+    }
+
+    /// Edge values, then 2^20 seeded draws: a third raw bit patterns (every
+    /// exponent, NaN payloads and subnormals included), a third uniform in
+    /// ±10 where the curve bends, a third uniform in ±1e4.
+    fn gelu_inputs() -> Vec<f32> {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            f32::from_bits(0x007f_ffff),
+            f32::from_bits(0x807f_ffff),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+            1e4,
+            -1e4,
+        ];
+        let mut rng = StdRng::seed_from_u64(0x6e1);
+        for i in 0..1 << 20 {
+            xs.push(match i % 3 {
+                0 => f32::from_bits(rng.gen::<u32>()),
+                1 => rng.gen_range(-10.0f32..10.0),
+                _ => rng.gen_range(-1e4f32..1e4),
+            });
+        }
+        xs
+    }
+
+    fn assert_same_bits(what: &str, xs: &[f32], got: &[f32], want: impl Fn(usize, f32) -> f32) {
+        for (i, (&x, &got)) in xs.iter().zip(got).enumerate() {
+            let want = want(i, x);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{what} at x = {x:e} ({:#010x}): got {got:e}, want {want:e}",
+                x.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn gelu_and_its_derivative_match_the_per_element_formulas_bitwise() {
+        let xs = gelu_inputs();
+        let n = xs.len();
+        // through the graph: forward value, and the backward of a sum,
+        // whose upstream gradient is exactly 1
+        let mut store = ParamStore::new();
+        let w = store.add("x", Tensor::from_vec(1, n, xs.clone()));
+        let mut g = Graph::new(&store);
+        let x = g.param(w);
+        let y = g.gelu(x);
+        assert_same_bits("forward", &xs, g.value(y).as_slice(), |_, x| {
+            gelu_reference(x)
+        });
+        let loss = g.sum_all(y);
+        let grads = g.backward(loss);
+        let dx = grads.for_param(w).unwrap();
+        assert_same_bits("backward", &xs, dx.as_slice(), |_, x| {
+            1.0 * gelu_derivative_reference(x)
+        });
+        // and the backward rule under arbitrary upstream gradients
+        let upstream: Vec<f32> = (0..n).map(|i| (i % 17) as f32 * 0.375 - 3.0).collect();
+        let mut d = upstream.clone();
+        let mut t = vec![0.0; n];
+        gelu_backward(&xs, &mut t, &mut d);
+        assert_same_bits("scaled backward", &xs, &d, |i, x| {
+            upstream[i] * gelu_derivative_reference(x)
+        });
+    }
 
     #[test]
     fn cross_entropy_of_perfect_prediction_is_small() {

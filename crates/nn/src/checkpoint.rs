@@ -11,22 +11,32 @@
 //! magic    22 B  "cuisine-checkpoint-v2\n"
 //! crc32     4 B  IEEE CRC32 of the payload bytes
 //! length    8 B  payload byte count
-//! payload        params + optional TrainState (see encode_payload)
+//! payload        params + optional TrainState (see encode_into)
 //! ```
 //!
 //! Every write goes through temp-file + fsync + atomic rename, and
 //! [`CheckpointManager`] keeps a rotating `latest.ckpt` / `previous.ckpt`
 //! pair, so a crash at any instant — including mid-save — leaves at least
 //! one intact checkpoint on disk. Legacy v1 (JSON) files remain readable.
+//!
+//! A v2 load streams: it checks the magic, then the header's length
+//! against the file's, then decodes the payload straight from the file
+//! in 64 KB pieces, folding each piece into a running CRC as it arrives.
+//! The decoded tensors are staged, never written into the store, until
+//! every payload byte has passed the CRC; a payload that fails to decode
+//! is read to its end first, so a corrupt file reports its checksum
+//! mismatch rather than whatever its corruption looked like to the
+//! decoder. So a load holds the decoded weights and one read piece, never
+//! the whole file beside them.
 
 use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 use autograd::ParamStore;
 use serde::{Deserialize, Serialize};
 use tensor::Tensor;
-use trace::crc32;
+use trace::{crc32, Crc32};
 
 use crate::optim::{OptimizerSlot, OptimizerState};
 use crate::trainer::{EpochStats, TrainHistory};
@@ -36,6 +46,12 @@ pub const MAGIC_V2: &[u8; 22] = b"cuisine-checkpoint-v2\n";
 
 /// Format tag of legacy v1 (JSON) checkpoints.
 pub const FORMAT_V1: &str = "cuisine-checkpoint-v1";
+
+/// Bytes of the v2 header after the magic: CRC32, then payload length.
+const HEADER_V2: usize = 12;
+
+/// Payload bytes a v2 load reads from the file at a time.
+const READ_PIECE: usize = 64 * 1024;
 
 /// Everything beyond raw weights that a resumed run needs to continue
 /// bit-identically from an epoch boundary.
@@ -95,110 +111,234 @@ fn invalid(message: impl Into<String>) -> io::Error {
 // ---------------------------------------------------------------------------
 // Little-endian payload encoding/decoding.
 
-#[derive(Default)]
-struct Enc(Vec<u8>);
+/// Where the encoder's bytes go: the file buffer itself, or [`Size`],
+/// which only counts them so the buffer can be reserved at its exact size.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+    fn put_f32s(&mut self, values: &[f32]);
+}
 
-impl Enc {
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+    fn put_f32s(&mut self, values: &[f32]) {
+        for &x in values {
+            self.extend_from_slice(&x.to_le_bytes());
+        }
+    }
+}
+
+/// Counts the bytes an encoding writes.
+#[derive(Default)]
+struct Size(usize);
+
+impl Sink for Size {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+    fn put_f32s(&mut self, values: &[f32]) {
+        self.0 += 4 * values.len();
+    }
+}
+
+struct Enc<S>(S);
+
+impl<S: Sink> Enc<S> {
     fn u8(&mut self, v: u8) {
-        self.0.push(v);
+        self.0.put(&[v]);
     }
     fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
+        self.0.put(&v.to_le_bytes());
     }
     fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
+        self.0.put(&v.to_le_bytes());
     }
     fn i64(&mut self, v: i64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
+        self.0.put(&v.to_le_bytes());
     }
     fn f32(&mut self, v: f32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
+        self.0.put(&v.to_le_bytes());
     }
     fn f64(&mut self, v: f64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
+        self.0.put(&v.to_le_bytes());
     }
     fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
     fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
-        self.0.extend_from_slice(s.as_bytes());
+        self.0.put(s.as_bytes());
     }
     fn tensor(&mut self, t: &Tensor) {
         self.u32(t.rows() as u32);
         self.u32(t.cols() as u32);
-        for &x in t.as_slice() {
-            self.f32(x);
+        self.0.put_f32s(t.as_slice());
+    }
+}
+
+/// Streaming decoder over a v2 payload. It pulls the payload from `src`
+/// in pieces of at most [`READ_PIECE`] bytes, and never past the
+/// header's length, folding each piece into `crc` as it arrives. Every
+/// read of a field first checks that the payload still holds its bytes,
+/// so nothing is allocated for bytes the file does not hold.
+struct Dec<R> {
+    src: R,
+    /// `buf[pos..end]` is read but not yet decoded.
+    buf: Vec<u8>,
+    pos: usize,
+    end: usize,
+    /// Payload bytes not yet read from `src`.
+    left: u64,
+    crc: Crc32,
+}
+
+impl<R: Read> Dec<R> {
+    fn new(src: R, len: u64) -> Self {
+        let piece = usize::try_from(len).map_or(READ_PIECE, |n| n.min(READ_PIECE));
+        Self {
+            src,
+            buf: vec![0; piece],
+            pos: 0,
+            end: 0,
+            left: len,
+            crc: Crc32::new(),
         }
     }
-}
 
-struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
+    /// Payload bytes not yet decoded.
+    fn remaining(&self) -> u64 {
+        (self.end - self.pos) as u64 + self.left
     }
-    fn need(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| invalid("truncated checkpoint payload"))?;
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
+
+    /// Fails unless the payload holds `n` more bytes.
+    fn check_left(&self, n: usize) -> io::Result<()> {
+        if n as u64 > self.remaining() {
+            return Err(invalid("truncated checkpoint payload"));
+        }
+        Ok(())
+    }
+
+    /// Reads the next piece of the payload into the buffer's free tail and
+    /// folds it into the CRC.
+    fn pull(&mut self) -> io::Result<()> {
+        let room =
+            (self.buf.len() - self.end).min(usize::try_from(self.left).unwrap_or(usize::MAX));
+        let got = loop {
+            match self.src.read(&mut self.buf[self.end..self.end + room]) {
+                Ok(0) => return Err(invalid("checkpoint file ended inside its payload")),
+                Ok(n) => break n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        };
+        self.crc.update(&self.buf[self.end..self.end + got]);
+        self.end += got;
+        self.left -= got as u64;
+        Ok(())
+    }
+
+    /// Makes at least `want` (at most the buffer's size) undecoded bytes
+    /// contiguous in the buffer.
+    fn fill(&mut self, want: usize) -> io::Result<()> {
+        if self.end - self.pos >= want {
+            return Ok(());
+        }
+        self.check_left(want)?;
+        self.buf.copy_within(self.pos..self.end, 0);
+        self.end -= self.pos;
+        self.pos = 0;
+        while self.end < want {
+            self.pull()?;
+        }
+        Ok(())
+    }
+
+    /// Hands the next `n` payload bytes to `sink`, in order, in pieces of
+    /// whole `unit`-byte items (`n` is a multiple of `unit`).
+    fn take(&mut self, n: usize, unit: usize, mut sink: impl FnMut(&[u8])) -> io::Result<()> {
+        self.check_left(n)?;
+        let mut n = n;
+        while n > 0 {
+            self.fill(unit)?;
+            let k = ((self.end - self.pos) / unit * unit).min(n);
+            sink(&self.buf[self.pos..self.pos + k]);
+            self.pos += k;
+            n -= k;
+        }
+        Ok(())
+    }
+
+    /// Reads the rest of the payload through the CRC without decoding it.
+    fn drain(&mut self) -> io::Result<()> {
+        self.pos = self.end;
+        while self.left > 0 {
+            (self.pos, self.end) = (0, 0);
+            self.pull()?;
+        }
+        Ok(())
+    }
+
+    fn array<const N: usize>(&mut self) -> io::Result<[u8; N]> {
+        self.fill(N)?;
+        let out = self.buf[self.pos..self.pos + N]
+            .try_into()
+            .expect("a slice of N bytes");
+        self.pos += N;
         Ok(out)
     }
     fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.need(1)?[0])
+        Ok(self.array::<1>()?[0])
     }
     fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.need(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
     fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.need(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
     fn i64(&mut self) -> io::Result<i64> {
-        Ok(i64::from_le_bytes(self.need(8)?.try_into().unwrap()))
+        Ok(i64::from_le_bytes(self.array()?))
     }
     fn f32(&mut self) -> io::Result<f32> {
-        Ok(f32::from_le_bytes(self.need(4)?.try_into().unwrap()))
+        Ok(f32::from_le_bytes(self.array()?))
     }
     fn f64(&mut self) -> io::Result<f64> {
-        Ok(f64::from_le_bytes(self.need(8)?.try_into().unwrap()))
+        Ok(f64::from_le_bytes(self.array()?))
     }
     fn usize(&mut self) -> io::Result<usize> {
         usize::try_from(self.u64()?).map_err(|_| invalid("count out of range"))
     }
     fn str(&mut self) -> io::Result<String> {
         let len = self.u32()? as usize;
-        let bytes = self.need(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| invalid("non-UTF-8 string in checkpoint"))
+        self.check_left(len)?;
+        let mut bytes = Vec::with_capacity(len);
+        self.take(len, 1, |piece| bytes.extend_from_slice(piece))?;
+        String::from_utf8(bytes).map_err(|_| invalid("non-UTF-8 string in checkpoint"))
     }
     fn tensor(&mut self) -> io::Result<Tensor> {
         let rows = self.u32()? as usize;
         let cols = self.u32()? as usize;
-        let bytes = rows
+        let len = rows
             .checked_mul(cols)
-            .and_then(|n| n.checked_mul(4))
+            .filter(|n| n.checked_mul(4).is_some())
             .ok_or_else(|| invalid("tensor shape overflow"))?;
-        let raw = self.need(bytes)?;
-        let data = raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
+        self.check_left(len * 4)?;
+        let mut data = Vec::with_capacity(len);
+        self.take(len * 4, 4, |piece| {
+            data.extend(
+                piece
+                    .chunks_exact(4)
+                    .map(|c| f32::from_le_bytes(c.try_into().expect("chunks of 4 bytes"))),
+            );
+        })?;
         Ok(Tensor::from_vec(rows, cols, data))
     }
     fn finished(&self) -> bool {
-        self.pos == self.bytes.len()
+        self.remaining() == 0
     }
 }
 
-fn encode_payload(store: &ParamStore, state: Option<&TrainState>) -> Vec<u8> {
-    let mut e = Enc::default();
+fn encode_into<S: Sink>(e: &mut Enc<S>, store: &ParamStore, state: Option<&TrainState>) {
     e.u32(store.len() as u32);
     for (_, name, tensor) in store.iter() {
         e.str(name);
@@ -253,13 +393,14 @@ fn encode_payload(store: &ParamStore, state: Option<&TrainState>) -> Vec<u8> {
             }
         }
     }
-    e.0
 }
 
-fn decode_payload(payload: &[u8]) -> io::Result<(Vec<ParamRecord>, Option<TrainState>)> {
-    let mut d = Dec::new(payload);
+/// Decodes a whole payload. Counts read from the payload reserve
+/// nothing: each item pushed has first passed the decoder's length
+/// checks.
+fn decode_payload<R: Read>(d: &mut Dec<R>) -> io::Result<(Vec<ParamRecord>, Option<TrainState>)> {
     let n_params = d.u32()? as usize;
-    let mut params = Vec::with_capacity(n_params.min(1 << 16));
+    let mut params = Vec::new();
     for _ in 0..n_params {
         let name = d.str()?;
         let tensor = d.tensor()?;
@@ -299,7 +440,7 @@ fn decode_payload(payload: &[u8]) -> io::Result<(Vec<ParamRecord>, Option<TrainS
             let kind = d.str()?;
             let step_count = d.i64()?;
             let n_slots = d.u32()? as usize;
-            let mut slots = Vec::with_capacity(n_slots.min(1 << 16));
+            let mut slots = Vec::new();
             for _ in 0..n_slots {
                 let param = d.usize()?;
                 let n_tensors = d.u8()? as usize;
@@ -336,41 +477,62 @@ fn decode_payload(payload: &[u8]) -> io::Result<(Vec<ParamRecord>, Option<TrainS
     Ok((params, state))
 }
 
+/// The v2 file for `store` (and `state`): magic, CRC32, length, payload,
+/// written into one buffer reserved at its exact size, the CRC and
+/// length patched in once the payload is behind them.
 fn encode_file(store: &ParamStore, state: Option<&TrainState>) -> Vec<u8> {
-    wrap_payload(&encode_payload(store, state))
-}
-
-/// The v2 file around `payload`: magic, CRC32, length, payload.
-fn wrap_payload(payload: &[u8]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(MAGIC_V2.len() + 12 + payload.len());
-    bytes.extend_from_slice(MAGIC_V2);
-    bytes.extend_from_slice(&crc32(payload).to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(payload);
+    let header = MAGIC_V2.len() + HEADER_V2;
+    let mut size = Enc(Size::default());
+    encode_into(&mut size, store, state);
+    let Enc(Size(payload_len)) = size;
+    let mut e = Enc(Vec::with_capacity(header + payload_len));
+    e.0.extend_from_slice(MAGIC_V2);
+    e.0.resize(header, 0);
+    encode_into(&mut e, store, state);
+    let mut bytes = e.0;
+    debug_assert_eq!(bytes.len(), header + payload_len, "encoded size drifted");
+    let len = (bytes.len() - header) as u64;
+    let crc = crc32(&bytes[header..]);
+    bytes[MAGIC_V2.len()..MAGIC_V2.len() + 4].copy_from_slice(&crc.to_le_bytes());
+    bytes[MAGIC_V2.len() + 4..header].copy_from_slice(&len.to_le_bytes());
     bytes
 }
 
-fn decode_file(bytes: &[u8]) -> io::Result<(Vec<ParamRecord>, Option<TrainState>)> {
-    let body = &bytes[MAGIC_V2.len()..];
-    if body.len() < 12 {
-        return Err(invalid("truncated checkpoint header"));
-    }
-    let stored_crc = u32::from_le_bytes(body[0..4].try_into().unwrap());
-    let len = u64::from_le_bytes(body[4..12].try_into().unwrap());
-    let payload = &body[12..];
-    if payload.len() as u64 != len {
+/// Decodes a v2 file from `src`, positioned just past the magic, whose
+/// whole length is `file_len` (see the module docs for the check order).
+fn read_v2<R: Read>(
+    mut src: R,
+    file_len: u64,
+) -> io::Result<(Vec<ParamRecord>, Option<TrainState>)> {
+    let mut head = [0u8; HEADER_V2];
+    src.read_exact(&mut head).map_err(|e| {
+        if e.kind() == io::ErrorKind::UnexpectedEof {
+            invalid("truncated checkpoint header")
+        } else {
+            e
+        }
+    })?;
+    let (crc_bytes, len_bytes) = head.split_at(4);
+    let stored_crc = u32::from_le_bytes(crc_bytes.try_into().expect("4 CRC bytes"));
+    let len = u64::from_le_bytes(len_bytes.try_into().expect("8 length bytes"));
+    let held = file_len.saturating_sub((MAGIC_V2.len() + HEADER_V2) as u64);
+    if held != len {
         return Err(invalid(format!(
-            "checkpoint payload is {} bytes, header promised {len}",
-            payload.len()
+            "checkpoint payload is {held} bytes, header promised {len}"
         )));
     }
-    let actual = crc32(payload);
+    let mut d = Dec::new(src, len);
+    let decoded = decode_payload(&mut d);
+    if decoded.is_err() {
+        d.drain()?;
+    }
+    let actual = d.crc.finish();
     if actual != stored_crc {
         return Err(invalid(format!(
             "checkpoint checksum mismatch: stored {stored_crc:#010x}, computed {actual:#010x}"
         )));
     }
-    decode_payload(payload)
+    decoded
 }
 
 // ---------------------------------------------------------------------------
@@ -459,10 +621,16 @@ pub fn load_checkpoint_with_state(
     store: &mut ParamStore,
     path: &Path,
 ) -> io::Result<Option<TrainState>> {
-    let bytes = std::fs::read(path)?;
-    let (params, state) = if bytes.starts_with(MAGIC_V2) {
-        decode_file(&bytes)?
+    let mut file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let mut bytes = Vec::with_capacity(MAGIC_V2.len());
+    (&mut file)
+        .take(MAGIC_V2.len() as u64)
+        .read_to_end(&mut bytes)?;
+    let (params, state) = if bytes == MAGIC_V2 {
+        read_v2(file, file_len)?
     } else {
+        file.read_to_end(&mut bytes)?;
         let text = std::str::from_utf8(&bytes)
             .map_err(|_| invalid("checkpoint is neither v2 binary nor v1 JSON"))?;
         let checkpoint: Checkpoint =
@@ -616,6 +784,24 @@ mod tests {
             },
             &mut rng,
         )
+    }
+
+    /// The payload alone, as `encode_file` writes it after the header.
+    fn encode_payload(store: &ParamStore, state: Option<&TrainState>) -> Vec<u8> {
+        let mut e = Enc(Vec::new());
+        encode_into(&mut e, store, state);
+        e.0
+    }
+
+    /// The v2 file around `payload`, assembled field by field: the
+    /// reference that `encode_file`'s one patched buffer must match.
+    fn wrap_payload(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC_V2);
+        bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes
     }
 
     fn sample_state() -> TrainState {
@@ -810,7 +996,7 @@ mod tests {
     fn overflowing_tensor_shape_is_invalid_data_not_a_panic() {
         // one parameter declaring a 2^31 x 2^31 tensor, behind a valid
         // CRC: its byte count overflows usize
-        let mut e = Enc::default();
+        let mut e = Enc(Vec::new());
         e.u32(1);
         e.str("w");
         e.u32(1 << 31);
@@ -871,6 +1057,174 @@ mod tests {
                 assert_eq!(e.kind(), io::ErrorKind::InvalidData, "case {case}: {e}");
             }
         }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Every parameter's bits, in registration order.
+    fn bits(store: &ParamStore) -> Vec<(String, (usize, usize), Vec<u32>)> {
+        store
+            .iter()
+            .map(|(_, name, t)| {
+                let bits = t.as_slice().iter().map(|v| v.to_bits()).collect();
+                (name.to_string(), t.shape(), bits)
+            })
+            .collect()
+    }
+
+    /// A two-layer model whose payload spans more than one read piece.
+    fn wide_model(seed: u64) -> LstmClassifier {
+        LstmClassifier::new(
+            LstmConfig {
+                vocab: 200,
+                emb_dim: 48,
+                hidden: 20,
+                layers: 2,
+                dropout: 0.0,
+                classes: 3,
+                pooling: crate::lstm::LstmPooling::MeanPool,
+            },
+            &mut StdRng::seed_from_u64(seed),
+        )
+    }
+
+    /// Hands out 1 to 7 bytes per `read`, whatever the caller asks for.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        reads: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let n = (self.reads % 7 + 1).min(out.len()).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn encode_file_matches_the_field_by_field_reference() {
+        for m in [model(30), wide_model(31)] {
+            for state in [None, Some(&sample_state())] {
+                let file = encode_file(m.store(), state);
+                assert_eq!(file, wrap_payload(&encode_payload(m.store(), state)));
+                assert_eq!(
+                    file.capacity(),
+                    file.len(),
+                    "buffer reserved at its exact size"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_trickling_reader_decodes_to_the_same_store_bits() {
+        let a = wide_model(32);
+        let state = sample_state();
+        let file = encode_file(a.store(), Some(&state));
+        assert!(
+            file.len() > READ_PIECE,
+            "the file load must cross a piece boundary"
+        );
+        let path = std::env::temp_dir().join("nn_checkpoint_trickle.ckpt");
+        std::fs::write(&path, &file).unwrap();
+        let mut from_file = wide_model(33);
+        let loaded = load_checkpoint_with_state(from_file.store_mut(), &path).unwrap();
+        assert_eq!(loaded.as_ref(), Some(&state));
+        assert_eq!(bits(from_file.store()), bits(a.store()));
+
+        let mut trickle = Trickle {
+            bytes: &file[MAGIC_V2.len()..],
+            reads: 0,
+        };
+        let (records, trickled) = read_v2(&mut trickle, file.len() as u64).unwrap();
+        assert!(trickle.reads > file.len() / 7, "{} reads", trickle.reads);
+        assert_eq!(trickled, Some(state));
+        let mut from_trickle = wide_model(34);
+        apply_records(from_trickle.store_mut(), records).unwrap();
+        assert_eq!(bits(from_trickle.store()), bits(a.store()));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_flipped_name_or_shape_byte_fails_the_crc_without_mutation() {
+        let a = model(35);
+        let file = encode_file(a.store(), None);
+        let name_len = a.store().name(a.store().ids().next().unwrap()).len();
+        // payload: parameter count, then the first name's length and bytes,
+        // then its rows and cols
+        let name = MAGIC_V2.len() + HEADER_V2 + 8;
+        let rows = name + name_len;
+        let path = std::env::temp_dir().join("nn_checkpoint_flipped_field.ckpt");
+        for (at, mask) in [
+            (name, 0x01),
+            (name + name_len - 1, 0x80),
+            (rows, 0x01),
+            (rows + 3, 0x40),
+            (rows + 4, 0x02),
+        ] {
+            let mut bytes = file.clone();
+            bytes[at] ^= mask;
+            std::fs::write(&path, &bytes).unwrap();
+            let mut b = model(36);
+            let pristine = b.store().clone();
+            let err = load_checkpoint(b.store_mut(), &path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "byte {at}");
+            assert!(
+                err.to_string().contains("checksum mismatch"),
+                "byte {at}: {err}"
+            );
+            assert_unchanged(b.store(), &pristine);
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Counts the bytes its caller reads.
+    struct Counted<'a> {
+        bytes: &'a [u8],
+        read: usize,
+    }
+
+    impl Read for Counted<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = self.bytes.read(out)?;
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_header_length_that_disagrees_with_the_file_fails_before_any_payload_read() {
+        let a = model(37);
+        let file = encode_file(a.store(), None);
+        let len = (file.len() - MAGIC_V2.len() - HEADER_V2) as u64;
+        let at = MAGIC_V2.len() + 4;
+        for claimed in [len - 1, len + 1, 0, 1 << 40, u64::MAX] {
+            let mut bytes = file.clone();
+            bytes[at..at + 8].copy_from_slice(&claimed.to_le_bytes());
+            let mut src = Counted {
+                bytes: &bytes[MAGIC_V2.len()..],
+                read: 0,
+            };
+            let err = read_v2(&mut src, bytes.len() as u64).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("header promised"), "{err}");
+            assert_eq!(
+                src.read, HEADER_V2,
+                "claimed {claimed}: read past the header"
+            );
+        }
+        // and through a file: trailing bytes the header does not count
+        let path = std::env::temp_dir().join("nn_checkpoint_length_mismatch.ckpt");
+        let mut longer = file.clone();
+        longer.extend_from_slice(&[0; 5]);
+        std::fs::write(&path, &longer).unwrap();
+        let mut b = model(38);
+        let pristine = b.store().clone();
+        let err = load_checkpoint(b.store_mut(), &path).unwrap_err();
+        assert!(err.to_string().contains("header promised"), "{err}");
+        assert_unchanged(b.store(), &pristine);
         std::fs::remove_file(&path).unwrap();
     }
 

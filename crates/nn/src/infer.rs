@@ -6,14 +6,18 @@
 //! table dominates the whole forward pass. The serving path cannot afford
 //! that, so this module provides two batched entry points:
 //!
-//! * [`FusedLstm`] — the LSTM serving engine: a fused forward that reads
-//!   weights straight out of the [`autograd::ParamStore`] (no binding, no
-//!   tape) and runs the batch *layer-major*. A recipe entity enters the
+//! * [`FusedLstm`] — the LSTM serving engine: a fused forward over
+//!   weights it owns outright (no graph binding, no tape) that runs the
+//!   batch *layer-major*. A recipe entity enters the
 //!   first layer only through `E[id] · W_x`, a term that depends on the
 //!   token alone, so [`FusedLstm::new`] computes it once per model load
 //!   as a `vocab × 4·hidden` projection table `P = E · W_x`, and layer 0
 //!   of every batch starts each gate row as a copy of `P`'s row for its
-//!   token. Each later layer runs one product that multiplies every
+//!   token. The table is built in the embedding's own buffer and takes
+//!   its place: the engine keeps `P`, each layer's recurrent rows `W_h`
+//!   and bias, the input rows `W_x` of layers ≥ 1 and the head, and
+//!   drops the embedding and layer 0's `W_x`, which no request reads.
+//!   Each later layer runs one product that multiplies every
 //!   (sequence, timestep) input row of the batch by the input rows of its
 //!   fused gate weight. The time loop then only adds `h · W_h` for the
 //!   sequences still running onto its rows, adds the bias and applies the
@@ -43,7 +47,9 @@
 //! depends on which other rows share its product. So row `id` of `P` is,
 //! bit for bit, the first `emb_dim` terms of the gate chains for any step
 //! holding token `id`, whether that step runs alone, in a batch, or in
-//! the graph. The gates mirror [`crate::LstmCell::step`] operation for
+//! the graph. Building the table block by block in the embedding's
+//! buffer changes none of this: each row is still its own chain from a
+//! zeroed row. The gates mirror [`crate::LstmCell::step`] operation for
 //! operation — same bias add, same `f·c + i·g` association, same
 //! mean-pool summation order — and apply the same activation functions:
 //! `Graph::sigmoid`/`Graph::tanh` and this engine both call
@@ -102,42 +108,77 @@ pub fn predict_proba_graph<M: SequenceModel>(model: &M, seqs: &[&[usize]]) -> Ve
     out
 }
 
-/// The LSTM serving engine: a trained [`LstmClassifier`] plus its layer-0
-/// token projection table (see the module docs).
+/// Embedding rows one step of the in-place table build copies out and
+/// projects (see [`projection_table`]).
+const TABLE_BLOCK: usize = 128;
+
+/// The LSTM serving engine: the parts of a trained [`LstmClassifier`]
+/// that serving reads, with layer 0's token projection table in place of
+/// the embedding (see the module docs).
 ///
 /// The table holds `vocab × 4·hidden` f32 values, built once by
 /// [`new`](Self::new); a model whose weights change needs a new engine.
 #[derive(Debug)]
 pub struct FusedLstm {
-    model: LstmClassifier,
+    config: LstmConfig,
     /// `P = E · W_x`: row `id` is layer 0's input terms of every gate
     /// chain for token `id`.
     proj: Tensor,
+    layers: Vec<GateWeights>,
+    head_weight: Tensor,
+    head_bias: Tensor,
+}
+
+/// What the engine keeps of one layer's fused gate parameters.
+#[derive(Debug)]
+struct GateWeights {
+    /// The gate weight rows the forward reads: all `input + hidden` rows
+    /// for layers ≥ 1, but only layer 0's `hidden` recurrent rows, since
+    /// its input rows live on in the projection table.
+    w: Tensor,
+    /// Rows of `w` before the recurrent ones (0 for layer 0).
+    input: usize,
+    /// `1 × 4·hidden` gate bias.
+    bias: Tensor,
 }
 
 impl FusedLstm {
-    /// Builds the engine, computing the projection table from `model`'s
-    /// embedding table and layer-0 gate weight.
+    /// Builds the engine from `model`, taking it apart: the projection
+    /// table is computed over the embedding's own buffer, and the
+    /// embedding, layer 0's input rows and every other tensor serving
+    /// never reads are dropped.
     pub fn new(model: LstmClassifier) -> Self {
-        let cfg = *model.config();
-        let (embedding, layers, _) = model.parts();
-        let store = model.store();
-        let (w, _) = layers[0].cell().gate_params();
-        let mut proj = Tensor::zeros(cfg.vocab, 4 * cfg.hidden);
-        tensor::matmul_acc(
-            store.get(embedding.table_id()),
-            0..cfg.vocab,
-            store.get(w),
-            0..cfg.emb_dim,
-            &mut proj,
-            0..cfg.vocab,
-        );
-        Self { model, proj }
+        let (config, mut store, embedding, layers, head) = model.into_parts();
+        let mut take = |id| std::mem::replace(store.get_mut(id), Tensor::zeros(0, 0));
+        let mut layers: Vec<GateWeights> = layers
+            .iter()
+            .map(|layer| {
+                let (w, bias) = layer.cell().gate_params();
+                let (w, bias) = (take(w), take(bias));
+                GateWeights {
+                    input: w.rows() - config.hidden,
+                    w,
+                    bias,
+                }
+            })
+            .collect();
+        let first = &mut layers[0];
+        let proj = projection_table(take(embedding.table_id()), &first.w);
+        let recurrent = &first.w.as_slice()[first.input * first.w.cols()..];
+        first.w = Tensor::from_vec(config.hidden, first.w.cols(), recurrent.to_vec());
+        first.input = 0;
+        Self {
+            config,
+            proj,
+            layers,
+            head_weight: take(head.weight()),
+            head_bias: take(head.bias()),
+        }
     }
 
     /// The architecture of the wrapped model.
     pub fn config(&self) -> &LstmConfig {
-        self.model.config()
+        &self.config
     }
 
     /// Class-probability rows for a batch of token-id sequences.
@@ -210,11 +251,9 @@ impl FusedLstm {
             lo = hi;
         }
 
-        let (_, _, head) = self.model.parts();
-        let store = self.model.store();
         let mut logits = Tensor::zeros(b, cfg.classes);
-        tensor::matmul_into(&pooled, store.get(head.weight()), &mut logits);
-        logits.add_row_broadcast(store.get(head.bias()));
+        tensor::matmul_into(&pooled, &self.head_weight, &mut logits);
+        logits.add_row_broadcast(&self.head_bias);
         logits
     }
 
@@ -222,8 +261,6 @@ impl FusedLstm {
     /// feature row to `pooled` row `first + i`.
     fn pool_chunk(&self, seqs: &[&[usize]], pooled: &mut Tensor, first: usize) {
         let cfg = *self.config();
-        let (_, layers, _) = self.model.parts();
-        let store = self.model.store();
         let hidden = cfg.hidden;
 
         // Longest-first processing order (stable on ties), so the
@@ -255,11 +292,8 @@ impl FusedLstm {
         }
         let mut h = Tensor::zeros(total, hidden);
         let mut c = vec![0.0f32; seqs.len() * hidden];
-        for (l, layer) in layers.iter().enumerate() {
-            debug_assert_eq!(layer.cell().hidden(), hidden);
-            let (w, bias) = layer.cell().gate_params();
-            let (w, bias) = (store.get(w), store.get(bias).row(0));
-            let input = w.rows() - hidden;
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (w, bias, input) = (&layer.w, layer.bias.row(0), layer.input);
             if l > 0 {
                 // this layer's input rows are the previous layer's states;
                 // their terms of every step's gate chains at once
@@ -341,6 +375,45 @@ impl FusedLstm {
             }
         }
     }
+}
+
+/// `P = E · W_x` for the embedding `E` (`vocab × emb_dim`) and the first
+/// `emb_dim` rows of layer 0's gate weight `w`, each row one ascending
+/// [`tensor::matmul_acc`] chain from a zeroed row, as the graph's gate
+/// products run them.
+///
+/// When a table row is at least as wide as an embedding row (`4·hidden ≥
+/// emb_dim`, the serving shape included), the table is built in `E`'s
+/// own buffer: grown once to the table's size, then filled one
+/// [`TABLE_BLOCK`]-row block at a time, last block first. Each block's
+/// embedding rows are copied out before its table rows are written, and
+/// table row `r` starts at or after embedding row `r`, so a block's
+/// writes only land on embedding rows already copied out. The embedding
+/// and its projection never hold memory at the same time. A narrower
+/// table is built on its own and the embedding dropped after.
+fn projection_table(embedding: Tensor, w: &Tensor) -> Tensor {
+    let (vocab, emb) = embedding.shape();
+    let width = w.cols();
+    if width < emb {
+        let mut proj = Tensor::zeros(vocab, width);
+        tensor::matmul_acc(&embedding, 0..vocab, w, 0..emb, &mut proj, 0..vocab);
+        return proj;
+    }
+    let mut data = embedding.into_vec();
+    data.reserve_exact(vocab * width - data.len());
+    data.resize(vocab * width, 0.0);
+    let mut proj = Tensor::from_vec(vocab, width, data);
+    let mut block = Tensor::zeros(TABLE_BLOCK.min(vocab), emb);
+    let mut hi = vocab;
+    while hi > 0 {
+        let lo = hi.saturating_sub(TABLE_BLOCK);
+        let n = hi - lo;
+        block.as_mut_slice()[..n * emb].copy_from_slice(&proj.as_slice()[lo * emb..hi * emb]);
+        proj.as_mut_slice()[lo * width..hi * width].fill(0.0);
+        tensor::matmul_acc(&block, 0..n, w, 0..emb, &mut proj, lo..hi);
+        hi = lo;
+    }
+    proj
 }
 
 #[cfg(test)]
@@ -456,6 +529,59 @@ mod tests {
         for pooling in [LstmPooling::LastHidden, LstmPooling::MeanPool] {
             let m = serving_model(pooling, 11);
             assert_batches_match_graph(&m, &format!("pooling {pooling:?}"));
+        }
+    }
+
+    /// A 300-token, 2-layer model of the given widths.
+    fn shaped_model(emb_dim: usize, hidden: usize, seed: u64) -> LstmClassifier {
+        LstmClassifier::new(
+            LstmConfig {
+                vocab: 300,
+                emb_dim,
+                hidden,
+                layers: 2,
+                dropout: 0.0,
+                classes: 26,
+                pooling: LstmPooling::MeanPool,
+            },
+            &mut StdRng::seed_from_u64(seed),
+        )
+    }
+
+    #[test]
+    fn every_table_width_is_bit_identical_to_graph_eval() {
+        // a table row wider than an embedding row (emb 12, hidden 9 ->
+        // 36 columns; emb 24 -> 36), as wide (the serving shape) and
+        // narrower (emb 40, hidden 7 -> 28 columns): the first two build
+        // the table in the embedding's buffer, over three blocks at vocab
+        // 300, the last builds it on its own
+        for (emb_dim, hidden) in [(12, 9), (24, 9), (256, 64), (40, 7)] {
+            let m = shaped_model(emb_dim, hidden, 13);
+            assert_batches_match_graph(&m, &format!("emb {emb_dim}, hidden {hidden}"));
+        }
+    }
+
+    #[test]
+    fn table_in_the_embedding_buffer_equals_a_separate_product() {
+        let mut rng = StdRng::seed_from_u64(14);
+        for (vocab, emb, width) in [
+            (1, 3, 8),
+            (TABLE_BLOCK - 1, 5, 12),
+            (TABLE_BLOCK, 5, 12),
+            (TABLE_BLOCK + 1, 5, 12),
+            (300, 24, 36),
+            (300, 36, 36),
+            (300, 40, 28),
+            (2 * TABLE_BLOCK + 3, 16, 64),
+        ] {
+            let embedding = tensor::Initializer::Uniform(1.0).init(vocab, emb, &mut rng);
+            let w = tensor::Initializer::Uniform(1.0).init(emb + 3, width, &mut rng);
+            let mut separate = Tensor::zeros(vocab, width);
+            tensor::matmul_acc(&embedding, 0..vocab, &w, 0..emb, &mut separate, 0..vocab);
+            let proj = projection_table(embedding, &w);
+            assert_eq!(proj.shape(), (vocab, width));
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&proj), bits(&separate), "{vocab} x {emb} -> {width}");
         }
     }
 

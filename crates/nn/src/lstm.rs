@@ -255,6 +255,18 @@ impl LstmClassifier {
         (&self.embedding, &self.layers, &self.head)
     }
 
+    /// The model taken apart, for [`crate::FusedLstm::new`], which keeps
+    /// only the tensors serving reads.
+    pub(crate) fn into_parts(self) -> (LstmConfig, ParamStore, Embedding, Vec<LstmLayer>, Linear) {
+        (
+            self.config,
+            self.store,
+            self.embedding,
+            self.layers,
+            self.head,
+        )
+    }
+
     /// Replaces the token-embedding table with pre-trained vectors (e.g.
     /// skip-gram embeddings from [`crate::word2vec`]) — the paper's §IV
     /// "word embedding" preprocessing path.

@@ -127,7 +127,10 @@ impl ModelRegistry {
     /// the freshly built model *before* publishing it, so the first
     /// post-swap request doesn't pay lazy page-in of the weights, and a
     /// model that can't produce a finite probability row is rejected
-    /// instead of published.
+    /// instead of published. A sequence-model checkpoint holding any
+    /// non-finite parameter is rejected before its engine is built: the
+    /// one-token warmup batch reads only a sliver of the weights (one
+    /// embedding row, no recurrent product), so it cannot find one.
     pub fn set_warmup(&self, enabled: bool) {
         self.warmup.store(enabled, Ordering::Relaxed);
     }
@@ -146,16 +149,19 @@ impl ModelRegistry {
     ///
     /// Any manifest or weight-file error (missing files, checksum or
     /// architecture mismatch, a linear snapshot whose class count or
-    /// width disagrees with the manifest) is returned and the previously
-    /// loaded version, if any, stays in place.
+    /// width disagrees with the manifest, and with warmup on a
+    /// non-finite sequence-model parameter or a failed warmup batch) is
+    /// returned and the previously loaded version, if any, stays in
+    /// place.
     pub fn load(&self, name: &str, dir: &Path) -> io::Result<Arc<LoadedModel>> {
         let _span = trace::span("serve.registry.load");
         let manifest = ModelManifest::load(dir)?;
+        let gate = self.warmup.load(Ordering::Relaxed);
         let model: Box<dyn ServingModel> = match manifest.kind.as_str() {
             "lstm" => {
                 let vocab = manifest.vocabulary();
                 let mut model = LstmClassifier::zeroed(manifest.lstm_config()?);
-                restore(dir, &mut model)?;
+                restore(dir, &mut model, gate)?;
                 if manifest.quantized {
                     // int8 is a load-time representation: the checkpoint
                     // stays f32 on disk, the weights quantize here
@@ -167,7 +173,7 @@ impl ModelRegistry {
             "bert" => {
                 let vocab = manifest.vocabulary();
                 let mut model = BertClassifier::zeroed(manifest.bert_config()?);
-                restore(dir, &mut model)?;
+                restore(dir, &mut model, gate)?;
                 if manifest.quantized {
                     Box::new(BertServing::new_quantized(model, vocab))
                 } else {
@@ -329,7 +335,10 @@ fn load_linear(dir: &Path, manifest: &ModelManifest) -> io::Result<ml::LinearMod
     Ok(model)
 }
 
-fn restore<M: SequenceModel>(dir: &Path, model: &mut M) -> io::Result<()> {
+/// Restores `dir`'s newest readable checkpoint into `model`. With `gate`
+/// set (warmup on), a checkpoint holding a non-finite parameter fails
+/// here, naming the parameter.
+fn restore<M: SequenceModel>(dir: &Path, model: &mut M, gate: bool) -> io::Result<()> {
     let found = CheckpointManager::new(dir)?.load_latest(model.store_mut())?;
     if found.is_none() {
         return Err(io::Error::new(
@@ -339,6 +348,14 @@ fn restore<M: SequenceModel>(dir: &Path, model: &mut M) -> io::Result<()> {
                 dir.display()
             ),
         ));
+    }
+    if gate {
+        if let Some((_, name, _)) = model.store().iter().find(|(_, _, t)| t.has_non_finite()) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("warmup: checkpoint parameter {name:?} holds a non-finite value"),
+            ));
+        }
     }
     Ok(())
 }
@@ -488,6 +505,45 @@ mod tests {
         write_lstm_dir(&dir, 13);
         let v2 = registry.load("lstm", &dir).unwrap();
         assert!(v2.version() > v1.version());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn non_finite_weights_the_warmup_batch_never_reads_fail_the_load() {
+        let dir = std::env::temp_dir().join("serve_registry_unread_nan");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let config = LstmConfig {
+            vocab: 20,
+            layers: 2,
+            ..config()
+        };
+        let vocab = Vocabulary::from_tokens((0..15).map(|i| format!("t{i}")));
+        ModelManifest::lstm(&config, &vocab).save(&dir).unwrap();
+        let healthy = LstmClassifier::new(config, &mut StdRng::seed_from_u64(16));
+        let registry = ModelRegistry::new();
+        // the warmup batch is token 0 alone: step 0 skips every recurrent
+        // product and reads only row 0 of the embedding, so a NaN in a
+        // recurrent (`W_h`) row, such as an LSTM weight's last row, or in
+        // another token's embedding row used to pass it
+        for param in ["lstm0.weight", "lstm1.weight", "embedding.table"] {
+            let mut model = healthy.clone();
+            let store = model.store_mut();
+            let id = store.ids().find(|&id| store.name(id) == param).unwrap();
+            let t = store.get_mut(id);
+            let at = if param == "embedding.table" {
+                17 * t.cols()
+            } else {
+                t.len() - 1
+            };
+            t.as_mut_slice()[at] = f32::NAN;
+            save_checkpoint(model.store(), &dir.join("latest.ckpt")).unwrap();
+            let err = registry.load("lstm", &dir).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{param}: {err}");
+            let text = err.to_string();
+            assert!(text.contains("warmup") && text.contains(param), "{text}");
+            assert!(registry.get("lstm").is_none(), "{param} published");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -37,31 +37,73 @@ fn crc32_tables() -> &'static [[u32; 256]; 8] {
     })
 }
 
-/// IEEE CRC-32 of `data`.
+/// A running IEEE CRC-32: fold bytes in with [`update`](Self::update) as
+/// they arrive, in pieces of any size, then read the checksum with
+/// [`finish`](Self::finish). The pieces' boundaries never change the
+/// result, so a streaming reader checks a file without holding it.
+///
+/// ```
+/// let mut crc = trace::Crc32::new();
+/// crc.update(b"1234");
+/// crc.update(b"56789");
+/// assert_eq!(crc.finish(), trace::crc32(b"123456789"));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Crc32 {
+    /// The register before the final inversion.
+    state: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Crc32 {
+    /// The CRC of zero bytes so far.
+    pub fn new() -> Self {
+        Self { state: 0xFFFF_FFFF }
+    }
+
+    /// Folds `data` in after every byte seen so far.
+    pub fn update(&mut self, data: &[u8]) {
+        let t = crc32_tables();
+        let mut crc = self.state;
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        self.state = crc;
+    }
+
+    /// The CRC-32 of every byte passed to [`update`](Self::update).
+    pub fn finish(&self) -> u32 {
+        !self.state
+    }
+}
+
+/// IEEE CRC-32 of `data`: the one-shot form of [`Crc32`].
 ///
 /// ```
 /// assert_eq!(trace::crc32(b"123456789"), 0xCBF4_3926);
 /// ```
 pub fn crc32(data: &[u8]) -> u32 {
-    let t = crc32_tables();
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in words.remainder() {
-        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
+    let mut crc = Crc32::new();
+    crc.update(data);
+    crc.finish()
 }
 
 #[cfg(test)]
@@ -112,5 +154,30 @@ mod tests {
         // a buffer of the served LSTM checkpoint's size
         let big = bytes(33, 5_600_003);
         assert_eq!(crc32(&big), crc32_bytewise(&big));
+    }
+
+    #[test]
+    fn running_crc_is_independent_of_how_the_bytes_are_split() {
+        let buf = bytes(34, 1000);
+        let whole = crc32(&buf);
+        assert_eq!(Crc32::new().finish(), crc32(b""));
+        // two pieces split at every point
+        for cut in 0..=buf.len() {
+            let mut crc = Crc32::new();
+            crc.update(&buf[..cut]);
+            crc.update(&buf[cut..]);
+            assert_eq!(crc.finish(), whole, "cut {cut}");
+        }
+        // ragged pieces of 1 to 13 bytes, empty pieces between them
+        let mut crc = Crc32::default();
+        let (mut at, mut step) = (0, 0);
+        while at < buf.len() {
+            let end = (at + step % 13 + 1).min(buf.len());
+            crc.update(&buf[at..end]);
+            crc.update(&[]);
+            at = end;
+            step += 7;
+        }
+        assert_eq!(crc.finish(), whole);
     }
 }

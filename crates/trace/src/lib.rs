@@ -50,7 +50,9 @@
 //! # The workspace checksum
 //!
 //! [`crc32`] is the one CRC-32 of the workspace (checkpoint-v2 files,
-//! linear-model snapshots and serving wire frames). It lives here only
+//! linear-model snapshots and serving wire frames); [`Crc32`] is its
+//! running form, which the checkpoint loader folds a file into as it
+//! streams. It lives here only
 //! because every crate that checks one already depends on `trace`.
 
 #![warn(missing_docs)]
@@ -60,7 +62,7 @@ mod json;
 mod metrics;
 mod span;
 
-pub use crc::crc32;
+pub use crc::{crc32, Crc32};
 pub use json::escape as json_escape;
 pub use metrics::{Counter, Gauge, MetricKind, MetricValue, MetricsRegistry};
 pub use span::{span, SpanGuard, SpanRecord};

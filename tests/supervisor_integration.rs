@@ -8,6 +8,7 @@
 //! through the warmup gate and the router reinstates it.
 
 use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -735,4 +736,104 @@ fn concurrent_deploys_leave_the_fleet_on_one_checkpoint() {
     for dir in dirs {
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// Peak resident set (`VmHWM`) of process `pid`, in bytes.
+fn peak_rss_bytes(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).unwrap();
+    let kib = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .expect("no VmHWM line")
+        .trim()
+        .trim_end_matches("kB")
+        .trim();
+    kib.parse::<u64>().unwrap() * 1024
+}
+
+/// Writes a servable LSTM directory of `config`'s shape (random weights,
+/// content tokens `t0`, `t1`, …) and returns its checkpoint's size.
+fn export_shaped(dir: &Path, config: LstmConfig) -> u64 {
+    std::fs::create_dir_all(dir).unwrap();
+    let v = Vocabulary::from_tokens((0..config.vocab - 5).map(|i| format!("t{i}")));
+    let model = LstmClassifier::new(config, &mut StdRng::seed_from_u64(23));
+    ModelManifest::lstm(&config, &v).save(dir).unwrap();
+    let checkpoint = dir.join("latest.ckpt");
+    save_checkpoint(model.store(), &checkpoint).unwrap();
+    std::fs::metadata(&checkpoint).unwrap().len()
+}
+
+/// Starts a `replica_worker` on `model_dir`, waits until it answers a
+/// `Ping`, and returns its peak resident set at that point, in bytes.
+fn worker_peak_after_start(name: &str, model_dir: &Path) -> u64 {
+    let run = temp_dir(name);
+    std::fs::create_dir_all(&run).unwrap();
+    let socket = run.join("worker.sock");
+    let mut child = Command::new(WORKER_BIN)
+        .arg("--socket")
+        .arg(&socket)
+        .arg("--model-dir")
+        .arg(model_dir)
+        .arg("--model-name")
+        .arg("lstm")
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::inherit())
+        .spawn()
+        .unwrap();
+    let handle = RemoteReplica::new(&socket, name, Duration::from_secs(5));
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while let Err(e) = handle.ping(Duration::from_secs(1)) {
+        if let Ok(Some(status)) = child.try_wait() {
+            panic!("{name}: worker exited ({status}) before answering a ping");
+        }
+        assert!(Instant::now() < deadline, "{name}: no pong: {e}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let peak = peak_rss_bytes(child.id());
+    handle.send_shutdown();
+    if !matches!(child.try_wait(), Ok(Some(_))) {
+        let _ = child.kill();
+    }
+    let _ = child.wait();
+    let _ = std::fs::remove_dir_all(&run);
+    peak
+}
+
+#[test]
+fn a_served_shape_worker_holds_its_weights_about_once() {
+    // the fleet_lstm shape: what loading it adds to a worker's peak, over
+    // a tiny model's, must stay near the checkpoint's own size. A load
+    // that keeps the whole file beside its decoded copy, or the
+    // embedding beside its projection table, holds about twice it.
+    let served = temp_dir("supervisor_memory_served");
+    let served_bytes = export_shaped(
+        &served,
+        LstmConfig {
+            vocab: 5005,
+            emb_dim: 256,
+            hidden: 64,
+            layers: 2,
+            dropout: 0.0,
+            classes: 26,
+            pooling: LstmPooling::LastHidden,
+        },
+    );
+    let tiny = temp_dir("supervisor_memory_tiny");
+    export_shaped(&tiny, lstm_config());
+    let served_peak = worker_peak_after_start("memory-served", &served);
+    let tiny_peak = worker_peak_after_start("memory-tiny", &tiny);
+    let added = served_peak.saturating_sub(tiny_peak);
+    let ratio = added as f64 / served_bytes as f64;
+    eprintln!(
+        "served worker peak {served_peak} B, tiny {tiny_peak} B, checkpoint {served_bytes} B: \
+         {ratio:.2}x"
+    );
+    assert!(
+        ratio <= 1.5,
+        "loading the served shape added {added} B of peak RSS, {ratio:.2}x its \
+         {served_bytes} B checkpoint (bound 1.5x)"
+    );
+    std::fs::remove_dir_all(&served).unwrap();
+    std::fs::remove_dir_all(&tiny).unwrap();
 }
