@@ -1,53 +1,41 @@
-//! Load generator for the batched inference service, f32 vs int8.
+//! Load generator for the batched inference service.
 //!
 //! Usage:
 //!
 //! ```text
 //! cargo run --release -p bench --bin serve_load -- \
 //!     [--requests 512] [--clients 16] [--max-batch 16] \
-//!     [--train-epochs 2] [--min-speedup 3.0] [--min-agreement 0.99] \
-//!     [--json BENCH_serve.json] [--quant-json BENCH_quant.json] [--trace]
+//!     [--min-speedup 3.0] [--json BENCH_serve.json] [--trace]
 //! ```
 //!
 //! Builds an LSTM serving model (vocab 5005, emb 256, hidden 64, 2
-//! layers, 26 classes — the paper's cuisine count), briefly trains it on
-//! class-structured synthetic recipes (each cuisine draws most
-//! ingredients from its own vocabulary block, so the trained model makes
-//! confident predictions like a real one — untrained random weights have
-//! near-tied logits, which is the wrong regime for measuring
-//! quantization agreement), exports it as two model directories (one
-//! plain manifest, one `quantized: true`), and drives the same request
-//! stream through three paths:
+//! layers, 26 classes — the paper's cuisine count) with seeded random
+//! weights, exports it as a model directory, and drives one stream of
+//! class-structured synthetic recipes through two paths:
 //!
 //! 1. **sequential**: one request at a time through the pre-serve code
 //!    path — featurize, then `nn::predict_proba_graph` on a singleton
 //!    batch (each request pays its own graph + parameter binding).
-//! 2. **batched f32**: `--clients` threads through a
-//!    [`serve::BatchServer`], so concurrent requests share fused forward
-//!    passes. Every answer is asserted bit-identical to its sequential
-//!    counterpart.
-//! 3. **batched int8**: the same clients against the quantized registry
-//!    entry. Answers are asserted bit-identical to the singleton int8
-//!    engine (batching never changes int8 answers either), and top-class
-//!    agreement with the f32 path is gated at `--min-agreement`
-//!    (default 0.99).
+//! 2. **batched**: `--clients` threads through a [`serve::BatchServer`],
+//!    so concurrent requests share fused forward passes. Every answer is
+//!    asserted bit-identical to its sequential counterpart, and
+//!    `--min-speedup` gates the batched-over-sequential throughput.
 //!
-//! Serving results go to `BENCH_serve.json`, the f32-vs-int8 comparison
-//! to `BENCH_quant.json`. The run also sweeps the feature-cache hit rate
-//! against capacity on a Zipf-distributed key stream (the empirical
-//! shape of recipe lookups) and emits the sweep into `BENCH_serve.json`;
-//! `ServeConfig::default().cache_capacity` is chosen from that data.
+//! Results go to `BENCH_serve.json`. The run also sweeps the
+//! feature-cache hit rate against capacity on a Zipf-distributed key
+//! stream (the empirical shape of recipe lookups) and emits the sweep
+//! into `BENCH_serve.json`; `ServeConfig::default().cache_capacity` is
+//! chosen from that data.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bench::serving::{
-    content_tokens, lstm_config, percentile, synth_recipes, to_ids, top_class, write_model_dir,
-    CLASSES,
+    content_tokens, lstm_config, percentile, synth_recipes, to_ids, write_model_dir,
 };
 use bench::HarnessArgs;
-use nn::{AdamW, LrSchedule, LstmClassifier, QuantLstmClassifier, Trainer, TrainerConfig};
+use nn::LstmClassifier;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serve::{BatchServer, LruCache, ModelRegistry, Prediction, ServeConfig};
@@ -133,31 +121,6 @@ fn zipf_stream(n: usize, s: f64, len: usize, seed: u64) -> Vec<usize> {
         .collect()
 }
 
-/// Kernel-level witness for the acceptance criterion "quantized outputs
-/// are bit-identical across TENSOR_THREADS ∈ {1,2,4}": runs the quantized
-/// matmul at the serving shape under explicit thread counts and compares
-/// bits. (The full proptest suite lives in `tests/quant_properties.rs`.)
-fn quant_threads_bit_identical() -> bool {
-    let mut rng = StdRng::seed_from_u64(0xb17);
-    let mut a = tensor::Tensor::zeros(16, 320);
-    for v in a.as_mut_slice() {
-        *v = rng.gen_range(-1.0f32..1.0);
-    }
-    let mut w = tensor::Tensor::zeros(320, 256);
-    for v in w.as_mut_slice() {
-        *v = rng.gen_range(-0.5f32..0.5);
-    }
-    let q = tensor::QuantMatrix::quantize(&w);
-    let reference = tensor::quant_matmul_with_threads(&a, &q, 1);
-    [2usize, 4].iter().all(|&t| {
-        let out = tensor::quant_matmul_with_threads(&a, &q, t);
-        out.as_slice()
-            .iter()
-            .zip(reference.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-    })
-}
-
 #[allow(clippy::too_many_lines)]
 fn main() {
     let args = HarnessArgs::parse();
@@ -171,14 +134,8 @@ fn main() {
     let max_batch: usize = args
         .value_of("--max-batch")
         .map_or(16, |v| v.parse().expect("--max-batch must be an integer"));
-    let train_epochs: usize = args
-        .value_of("--train-epochs")
-        .map_or(2, |v| v.parse().expect("--train-epochs must be an integer"));
-    let min_agreement: f64 = args.value_of("--min-agreement").map_or(0.99, |v| {
-        v.parse().expect("--min-agreement must be a number")
-    });
 
-    // --- build + briefly train the model -------------------------------
+    // --- build and export the model ------------------------------------
     let tokens = content_tokens();
     let vocab = Vocabulary::from_tokens(tokens.iter().cloned());
     assert_eq!(
@@ -187,41 +144,10 @@ fn main() {
         "vocab drifted from config"
     );
     let mut rng = StdRng::seed_from_u64(args.seed);
-    let mut model = LstmClassifier::new(lstm_config(), &mut rng);
-    if train_epochs > 0 {
-        let train_set: Vec<(Vec<usize>, usize)> = synth_recipes(16 * CLASSES, &tokens, args.seed)
-            .iter()
-            .map(|(text, class)| (to_ids(text, &vocab), *class))
-            .collect();
-        eprintln!(
-            "training: {} recipes, {train_epochs} epochs",
-            train_set.len()
-        );
-        let trainer = Trainer::new(TrainerConfig {
-            epochs: train_epochs,
-            batch_size: 16,
-            schedule: LrSchedule::Constant(3e-3),
-            seed: args.seed,
-            ..TrainerConfig::default()
-        });
-        let mut opt = AdamW::default();
-        let history = trainer
-            .fit(&mut model, &mut opt, &train_set, None)
-            .expect("train synthetic model");
-        let losses = history.train_losses();
-        eprintln!(
-            "training loss: {:.3} -> {:.3}",
-            losses.first().copied().unwrap_or(f64::NAN),
-            losses.last().copied().unwrap_or(f64::NAN)
-        );
-    }
-
-    // --- export f32 and quantized model directories --------------------
+    let model = LstmClassifier::new(lstm_config(), &mut rng);
     let base = std::env::temp_dir().join(format!("serve_load_{}", std::process::id()));
-    let f32_dir = base.join("f32");
-    let int8_dir = base.join("int8");
-    write_model_dir(&f32_dir, &model, &vocab, false).expect("write f32 model dir");
-    write_model_dir(&int8_dir, &model, &vocab, true).expect("write int8 model dir");
+    let model_dir = base.join("lstm");
+    write_model_dir(&model_dir, &model, &vocab, false).expect("write model dir");
 
     let recipes = synth_recipes(requests, &tokens, args.seed ^ 0x5eed);
     let id_seqs: Vec<Vec<usize>> = recipes.iter().map(|(r, _)| to_ids(r, &vocab)).collect();
@@ -246,8 +172,8 @@ fn main() {
     let seq_elapsed = started.elapsed();
     let seq_rps = requests as f64 / seq_elapsed.as_secs_f64();
 
-    // --- batched f32 service under concurrent clients ------------------
-    eprintln!("batched f32 service: {clients} clients, max_batch {max_batch}");
+    // --- batched service under concurrent clients ----------------------
+    eprintln!("batched service: {clients} clients, max_batch {max_batch}");
     let serve_config = ServeConfig {
         max_batch,
         queue_capacity: requests.max(1),
@@ -256,69 +182,27 @@ fn main() {
         cache_capacity: 1024,
     };
     let registry = Arc::new(ModelRegistry::new());
-    registry.load("lstm", &f32_dir).expect("registry load f32");
+    registry.load("lstm", &model_dir).expect("registry load");
     let server = Arc::new(
-        BatchServer::start(Arc::clone(&registry), "lstm", serve_config.clone())
-            .expect("start f32 server"),
+        BatchServer::start(Arc::clone(&registry), "lstm", serve_config).expect("start server"),
     );
     let recipes = Arc::new(recipes);
-    let (f32_elapsed, mut latencies_us, batch_sizes, f32_predictions) =
+    let (batched_elapsed, mut latencies_us, batch_sizes, predictions) =
         drive_clients(&server, &recipes, clients);
     server.shutdown();
-    for (i, p) in f32_predictions.iter().enumerate() {
+    for (i, p) in predictions.iter().enumerate() {
         assert_eq!(
             p.probs, sequential[i],
-            "batched f32 answer for request {i} differs from sequential"
+            "batched answer for request {i} differs from sequential"
         );
     }
-    let f32_rps = requests as f64 / f32_elapsed.as_secs_f64();
-    let speedup = f32_rps / seq_rps;
+    let batched_rps = requests as f64 / batched_elapsed.as_secs_f64();
+    let speedup = batched_rps / seq_rps;
 
     latencies_us.sort_unstable();
     let p50 = percentile(&latencies_us, 0.50);
     let p99 = percentile(&latencies_us, 0.99);
     let mean_batch = batch_sizes.iter().sum::<usize>() as f64 / batch_sizes.len() as f64;
-
-    // --- batched int8 service over the same stream ---------------------
-    eprintln!("batched int8 service: {clients} clients, max_batch {max_batch}");
-    registry
-        .load("lstm-int8", &int8_dir)
-        .expect("registry load int8");
-    assert_eq!(
-        registry.get("lstm-int8").unwrap().model().kind(),
-        "lstm-int8",
-        "quantized manifest must take the int8 path"
-    );
-    let server = Arc::new(
-        BatchServer::start(Arc::clone(&registry), "lstm-int8", serve_config)
-            .expect("start int8 server"),
-    );
-    let (int8_elapsed, mut int8_latencies_us, _, int8_predictions) =
-        drive_clients(&server, &recipes, clients);
-    server.shutdown();
-    let int8_rps = requests as f64 / int8_elapsed.as_secs_f64();
-
-    // batching must not change int8 answers either: compare against the
-    // singleton fused int8 engine
-    let quant_engine = QuantLstmClassifier::from_f32(&model);
-    for (i, p) in int8_predictions.iter().enumerate() {
-        let alone = quant_engine.predict_proba_batch(&[id_seqs[i].as_slice()]);
-        assert_eq!(
-            p.probs, alone[0],
-            "batched int8 answer for request {i} differs from singleton int8"
-        );
-    }
-    let agree = int8_predictions
-        .iter()
-        .enumerate()
-        .filter(|(i, p)| p.top_class == top_class(&sequential[*i]))
-        .count();
-    let agreement = agree as f64 / requests as f64;
-    let quant_speedup = int8_rps / f32_rps;
-    let threads_bit_identical = quant_threads_bit_identical();
-    int8_latencies_us.sort_unstable();
-    let int8_p50 = percentile(&int8_latencies_us, 0.50);
-    let int8_p99 = percentile(&int8_latencies_us, 0.99);
 
     // --- feature-cache sizing: hit rate vs capacity, Zipf stream -------
     eprintln!("feature-cache sweep: Zipf keys over LruCache capacities");
@@ -330,20 +214,16 @@ fn main() {
         .map(|&cap| (cap, zipf_hit_rate(cap, DISTINCT, &stream)))
         .collect();
 
-    println!("requests:        {requests} (f32 batched bit-identical to baseline)");
+    println!("requests:        {requests} (batched bit-identical to sequential)");
     println!(
         "sequential:      {:.2} req/s  ({:.1} us/req)",
         seq_rps,
         seq_elapsed.as_secs_f64() / requests as f64 * 1e6
     );
     println!(
-        "batched f32:     {f32_rps:.2} req/s  (p50 {p50} us, p99 {p99} us, mean batch {mean_batch:.1})"
+        "batched:         {batched_rps:.2} req/s  (p50 {p50} us, p99 {p99} us, mean batch {mean_batch:.1})"
     );
-    println!("speedup:         {speedup:.2}x (batched f32 vs sequential)");
-    println!("batched int8:    {int8_rps:.2} req/s  (p50 {int8_p50} us, p99 {int8_p99} us)");
-    println!("int8 speedup:    {quant_speedup:.2}x (vs batched f32)");
-    println!("agreement:       {agreement:.4} ({agree}/{requests} top-class vs f32)");
-    println!("threads 1/2/4:   bit-identical = {threads_bit_identical}");
+    println!("speedup:         {speedup:.2}x (batched vs sequential)");
     for (cap, rate) in &sweep {
         println!("cache@{cap:<5}      hit rate {rate:.3}");
     }
@@ -374,8 +254,8 @@ fn main() {
         max_batch,
         seq_rps,
         seq_elapsed.as_nanos() as f64 / requests as f64,
-        f32_rps,
-        f32_elapsed.as_nanos() as f64 / requests as f64,
+        batched_rps,
+        batched_elapsed.as_nanos() as f64 / requests as f64,
         p50,
         p99,
         mean_batch,
@@ -386,47 +266,9 @@ fn main() {
     std::fs::write(&json_path, json).expect("write BENCH_serve.json");
     eprintln!("wrote {}", json_path.display());
 
-    let quant_path = PathBuf::from(args.value_of("--quant-json").unwrap_or("BENCH_quant.json"));
-    let quant_json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"quant\",\n",
-            "  \"requests\": {},\n",
-            "  \"clients\": {},\n",
-            "  \"max_batch\": {},\n",
-            "  \"entries\": [\n",
-            "    {{\"path\": \"f32_batched\", \"rps\": {:.2}, \"latency_ns\": {:.1}}},\n",
-            "    {{\"path\": \"int8_batched\", \"rps\": {:.2}, \"latency_ns\": {:.1}, ",
-            "\"speedup\": {:.3}, \"agreement\": {:.4}, \"threads_bit_identical\": {}}}\n",
-            "  ]\n",
-            "}}\n"
-        ),
-        requests,
-        clients,
-        max_batch,
-        f32_rps,
-        f32_elapsed.as_nanos() as f64 / requests as f64,
-        int8_rps,
-        int8_elapsed.as_nanos() as f64 / requests as f64,
-        quant_speedup,
-        agreement,
-        threads_bit_identical,
-    );
-    std::fs::write(&quant_path, quant_json).expect("write BENCH_quant.json");
-    eprintln!("wrote {}", quant_path.display());
-
     args.finish_trace();
     let _ = std::fs::remove_dir_all(&base);
 
-    assert!(
-        threads_bit_identical,
-        "quantized matmul must be bit-identical across thread counts"
-    );
-    assert!(
-        agreement >= min_agreement,
-        "int8 top-class agreement {agreement:.4} below required {min_agreement}"
-    );
-    println!("agreement gate:  ok (>= {min_agreement})");
     if let Some(min) = args.value_of("--min-speedup") {
         let min: f64 = min.parse().expect("--min-speedup must be a number");
         assert!(

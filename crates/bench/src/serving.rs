@@ -94,27 +94,27 @@ pub fn percentile(sorted_us: &[u128], p: f64) -> u128 {
     sorted_us[idx]
 }
 
-/// The service's argmax rule (first index on ties).
-pub fn top_class(probs: &[f64]) -> usize {
-    probs
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(&a.0)))
-        .map_or(0, |(i, _)| i)
-}
-
 /// Writes a servable model directory (manifest + checkpoint) for the
-/// [`lstm_config`] model.
+/// [`lstm_config`] model. Every model serves in f32: `quantized` stays
+/// only because perfbench's workloads pass it (as `false`).
+///
+/// # Errors
+///
+/// `InvalidInput` when `quantized` is set; filesystem errors.
 pub fn write_model_dir(
     dir: &Path,
     model: &LstmClassifier,
     vocab: &Vocabulary,
     quantized: bool,
 ) -> std::io::Result<()> {
+    if quantized {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "int8 serving was removed: model directories are f32 only",
+        ));
+    }
     std::fs::create_dir_all(dir)?;
-    ModelManifest::lstm(&lstm_config(), vocab)
-        .with_quantized(quantized)
-        .save(dir)?;
+    ModelManifest::lstm(&lstm_config(), vocab).save(dir)?;
     save_checkpoint(model.store(), &dir.join("latest.ckpt"))
 }
 
@@ -199,5 +199,20 @@ impl ServingModel for StalledFeaturesModel {
 
     fn predict(&self, batch: &[&Features]) -> Vec<Vec<f64>> {
         self.inner.predict(batch)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn write_model_dir_refuses_int8_and_writes_nothing() {
+        let dir = std::env::temp_dir().join("bench_serving_int8_dir");
+        let model = LstmClassifier::zeroed(lstm_config());
+        let vocab = Vocabulary::from_tokens(content_tokens());
+        let err = write_model_dir(&dir, &model, &vocab, true).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(!dir.exists());
     }
 }

@@ -28,7 +28,6 @@ pub mod infer;
 pub mod layers;
 pub mod lstm;
 pub mod optim;
-pub mod quant;
 pub mod schedule;
 pub mod trainer;
 pub mod transformer;
@@ -46,7 +45,6 @@ pub use checkpoint::{
 pub use layers::{Embedding, LayerNorm, Linear};
 pub use lstm::{LstmCell, LstmClassifier, LstmConfig, LstmLayer, LstmPooling};
 pub use optim::{AdamW, AdamWConfig, Optimizer, OptimizerSlot, OptimizerState, Sgd};
-pub use quant::{quantize_model_weights, quantize_store, QuantLstmClassifier};
 pub use schedule::LrSchedule;
 pub use trainer::{
     EpochStats, FitOptions, SequenceModel, TrainError, TrainHistory, Trainer, TrainerConfig,

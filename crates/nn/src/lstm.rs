@@ -250,7 +250,8 @@ impl LstmClassifier {
         &self.config
     }
 
-    /// Internals for the tape-free inference path in [`crate::infer`].
+    /// The model's layers, for tests that reach into its parameters.
+    #[cfg(test)]
     pub(crate) fn parts(&self) -> (&Embedding, &[LstmLayer], &Linear) {
         (&self.embedding, &self.layers, &self.head)
     }

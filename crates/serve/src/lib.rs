@@ -65,9 +65,7 @@ pub use cache::LruCache;
 pub use completion::{Completion, CompletionQueue, Ticket};
 pub use error::ServeError;
 pub use manifest::{ModelManifest, LINEAR_FILE, MANIFEST_FILE, MANIFEST_FORMAT};
-pub use model::{
-    BertServing, Features, LinearServing, LstmServing, QuantLstmServing, ServingModel,
-};
+pub use model::{BertServing, Features, LinearServing, LstmServing, ServingModel};
 pub use registry::{LoadedModel, ModelRegistry};
 pub use router::{ReplicaHandle, ReplicaHealth, ReplicaRouter, RouterConfig};
 pub use service::{BatchServer, Prediction, ServeConfig};

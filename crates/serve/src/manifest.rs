@@ -39,7 +39,7 @@ pub const LINEAR_FILE: &str = "linear.bin";
 
 /// Everything the registry needs to reconstruct a servable model from a
 /// directory of weights.
-#[derive(Debug, Clone, Serialize, PartialEq)]
+#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct ModelManifest {
     /// Format tag ([`MANIFEST_FORMAT`]).
     pub format: String,
@@ -72,45 +72,6 @@ pub struct ModelManifest {
     pub sublinear_tf: bool,
     /// Whether rows were L2-normalized (linear only).
     pub l2_normalize: bool,
-    /// Opt-in int8 post-training quantization at load time (sequence
-    /// models only). The checkpoint on disk stays f32; when this is set
-    /// the registry converts weight matrices to i8 while materializing
-    /// the serving model. Absent in older manifests, which read as
-    /// `false` — quantization is never implicit.
-    pub quantized: bool,
-}
-
-// Hand-written so that manifests written before the field existed (or
-// without it) deserialize with `quantized: false`: the derive of the
-// offline serde shim treats every field as required, and int8 must stay
-// strictly opt-in rather than a parse error or — worse — a default-on.
-impl Deserialize for ModelManifest {
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        fn req<T: Deserialize>(v: &serde::Value, name: &str) -> Result<T, serde::Error> {
-            T::deserialize_value(serde::field(v, name)?)
-        }
-        Ok(Self {
-            format: req(v, "format")?,
-            kind: req(v, "kind")?,
-            classes: req(v, "classes")?,
-            vocab_tokens: req(v, "vocab_tokens")?,
-            emb_dim: req(v, "emb_dim")?,
-            hidden: req(v, "hidden")?,
-            layers: req(v, "layers")?,
-            heads: req(v, "heads")?,
-            ff_dim: req(v, "ff_dim")?,
-            max_len: req(v, "max_len")?,
-            pooling: req(v, "pooling")?,
-            tfidf_terms: req(v, "tfidf_terms")?,
-            tfidf_idf: req(v, "tfidf_idf")?,
-            sublinear_tf: req(v, "sublinear_tf")?,
-            l2_normalize: req(v, "l2_normalize")?,
-            quantized: match serde::field(v, "quantized") {
-                Ok(val) => bool::deserialize_value(val)?,
-                Err(_) => false,
-            },
-        })
-    }
 }
 
 impl ModelManifest {
@@ -131,16 +92,7 @@ impl ModelManifest {
             tfidf_idf: Vec::new(),
             sublinear_tf: false,
             l2_normalize: false,
-            quantized: false,
         }
-    }
-
-    /// Marks this manifest for int8 load-time quantization (sequence
-    /// models only — [`load`](Self::load) rejects it on `"linear"`).
-    #[must_use]
-    pub fn with_quantized(mut self, quantized: bool) -> Self {
-        self.quantized = quantized;
-        self
     }
 
     /// Describes an LSTM classifier trained over `vocab`.
@@ -238,13 +190,16 @@ impl ModelManifest {
     /// `InvalidData` when the manifest is not a `"bert"` manifest, or a
     /// shape field is one `BertClassifier::new` would reject (`classes`
     /// below 2, `max_len` below 3, `layers` or `heads` 0, or `hidden` not
-    /// a multiple of `heads`).
+    /// a multiple of `heads`) or one that holds no weights (`hidden` 0,
+    /// whose encoder layers are empty, so no checkpoint size bounds
+    /// their number).
     pub fn bert_config(&self) -> io::Result<BertConfig> {
         self.expect_kind("bert")?;
         require(self.classes >= 2, "classes must be at least 2")?;
         require(self.max_len >= 3, "max_len must be at least 3")?;
         require(self.layers >= 1, "layers must be at least 1")?;
         require(self.heads >= 1, "heads must be at least 1")?;
+        require(self.hidden >= 1, "hidden must be at least 1")?;
         require(
             self.hidden.is_multiple_of(self.heads),
             "hidden must be a multiple of heads",
@@ -259,6 +214,81 @@ impl ModelManifest {
             dropout: 0.0,
             classes: self.classes,
         })
+    }
+
+    /// Checks, before anything is built from the shape fields, that the
+    /// sequence model this manifest describes fits the checkpoint beside
+    /// it. Both checkpoint formats store at least one byte per parameter;
+    /// without this check an absurd shape (`emb_dim` 10^10) reaches the
+    /// zeroed skeleton, whose failed allocation aborts the process.
+    ///
+    /// # Errors
+    ///
+    /// `NotFound` when `dir` holds no checkpoint, `InvalidData` when the
+    /// parameter count overflows or exceeds the larger file's length.
+    pub(crate) fn check_checkpoint_budget(&self, dir: &Path) -> io::Result<()> {
+        let bytes = ["latest.ckpt", "previous.ckpt"]
+            .iter()
+            .filter_map(|name| std::fs::metadata(dir.join(name)).ok())
+            .map(|meta| meta.len())
+            .max()
+            .ok_or_else(|| no_checkpoint(dir))?;
+        match self.param_count() {
+            Some(params) if params as u64 <= bytes => Ok(()),
+            _ => Err(invalid(format!(
+                "manifest rejected: classes {}, emb_dim {}, hidden {}, layers {}, heads {}, \
+                 ff_dim {}, max_len {} and {} tokens need more parameters than the \
+                 {bytes}-byte checkpoint holds",
+                self.classes,
+                self.emb_dim,
+                self.hidden,
+                self.layers,
+                self.heads,
+                self.ff_dim,
+                self.max_len,
+                self.vocab_tokens.len(),
+            ))),
+        }
+    }
+
+    /// Parameters of the sequence model this manifest describes (every
+    /// element its skeleton registers), or `None` on overflow.
+    fn param_count(&self) -> Option<usize> {
+        let vocab = self.vocab_tokens.len().checked_add(5)?;
+        // a `Linear`: weight plus bias
+        let linear =
+            |inputs: usize, outputs: usize| inputs.checked_mul(outputs)?.checked_add(outputs);
+        let h = self.hidden;
+        match self.kind.as_str() {
+            "lstm" => {
+                let gates = h.checked_mul(4)?;
+                let deeper = linear(h.checked_mul(2)?, gates)?;
+                checked_sum(&[
+                    vocab.checked_mul(self.emb_dim)?,
+                    linear(self.emb_dim.checked_add(h)?, gates)?,
+                    deeper.checked_mul(self.layers.saturating_sub(1))?,
+                    linear(h, self.classes)?,
+                ])
+            }
+            "bert" => {
+                let layer = checked_sum(&[
+                    linear(h, h)?.checked_mul(4)?, // q, k, v, o
+                    linear(h, self.ff_dim)?,
+                    linear(self.ff_dim, h)?,
+                    h.checked_mul(4)?, // two LayerNorms
+                ])?;
+                checked_sum(&[
+                    vocab.checked_mul(h)?,        // token embedding
+                    self.max_len.checked_mul(h)?, // position embedding
+                    h.checked_mul(2)?,            // embedding LayerNorm
+                    layer.checked_mul(self.layers)?,
+                    linear(h, h)?, // pooler
+                    linear(h, self.classes)?,
+                    vocab, // MLM bias
+                ])
+            }
+            _ => Some(0),
+        }
     }
 
     /// Rebuilds the vocabulary (specials first, then the content tokens
@@ -282,10 +312,20 @@ impl ModelManifest {
     /// # Errors
     ///
     /// `NotFound` when the file is missing, `InvalidData` on a bad format
-    /// tag, an unknown kind, or internal inconsistency.
+    /// tag, an unknown kind, a `quantized` field other than `false`, or
+    /// internal inconsistency.
     pub fn load(dir: &Path) -> io::Result<Self> {
         let text = std::fs::read_to_string(dir.join(MANIFEST_FILE))?;
-        let m: Self = serde_json::from_str(&text).map_err(|e| invalid(e.to_string()))?;
+        let doc = serde::parse_value(&text).map_err(|e| invalid(e.to_string()))?;
+        // Manifests written while the int8 engine existed carry this
+        // field, almost all as `false`. A `true` asked for int8 serving,
+        // which is gone: refuse it rather than serve f32 in its place.
+        if serde::field(&doc, "quantized").is_ok_and(|q| *q != serde::Value::Bool(false)) {
+            return Err(invalid(
+                "manifest field \"quantized\" must be false or absent: int8 serving was removed",
+            ));
+        }
+        let m = Self::deserialize_value(&doc).map_err(|e| invalid(e.to_string()))?;
         if m.format != MANIFEST_FORMAT {
             return Err(invalid(format!(
                 "unsupported manifest format {:?}",
@@ -298,9 +338,6 @@ impl ModelManifest {
         }
         if m.tfidf_terms.len() != m.tfidf_idf.len() {
             return Err(invalid("tfidf term/idf length mismatch"));
-        }
-        if m.quantized && m.kind == "linear" {
-            return Err(invalid("linear models have no int8 quantized path"));
         }
         if m.tfidf_idf.iter().any(|v| !v.is_finite()) {
             return Err(invalid("non-finite idf weight in manifest"));
@@ -328,6 +365,20 @@ fn content_tokens(vocab: &Vocabulary) -> Vec<String> {
 
 fn invalid(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.into())
+}
+
+/// `NotFound` for a sequence-model directory without a checkpoint.
+pub(crate) fn no_checkpoint(dir: &Path) -> io::Error {
+    let what = format!(
+        "no checkpoint (latest.ckpt/previous.ckpt) in {}",
+        dir.display()
+    );
+    io::Error::new(io::ErrorKind::NotFound, what)
+}
+
+/// The sum of `terms`, or `None` on overflow.
+fn checked_sum(terms: &[usize]) -> Option<usize> {
+    terms.iter().try_fold(0usize, |sum, &t| sum.checked_add(t))
 }
 
 /// `InvalidData` naming the broken shape rule unless `holds`.
@@ -421,36 +472,55 @@ mod tests {
 
     #[test]
     fn missing_quantized_field_reads_as_false() {
-        // a manifest written before the field existed must still load,
-        // and must land on the f32 path
+        // manifests written while int8 serving existed carry
+        // `"quantized":false`, newer ones no such field: both must load
+        // as the same f32 manifest
+        let dir = std::env::temp_dir().join("serve_manifest_quantized_field");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
         let m = ModelManifest::lstm(&lstm_config(), &vocab());
-        let mut json = serde_json::to_string(&m).unwrap();
-        let needle = ",\"quantized\":false";
-        assert!(json.contains(needle), "serialized form changed: {json}");
-        json = json.replace(needle, "");
-        let old: ModelManifest = serde_json::from_str(&json).unwrap();
-        assert!(!old.quantized);
-        assert_eq!(old, m);
+        let json = serde_json::to_string(&m).unwrap();
+        assert!(
+            !json.contains("quantized"),
+            "serialized form changed: {json}"
+        );
+        let old = format!("{},\"quantized\":false}}", json.strip_suffix('}').unwrap());
+        for text in [json, old] {
+            std::fs::write(dir.join(MANIFEST_FILE), &text).unwrap();
+            assert_eq!(ModelManifest::load(&dir).unwrap(), m, "{text}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Total elements of every parameter tensor `model` holds.
+    fn elements<M: nn::SequenceModel>(model: &M) -> usize {
+        model.store().iter().map(|(_, _, t)| t.len()).sum()
     }
 
     #[test]
-    fn quantized_roundtrips_and_linear_is_rejected() {
-        let dir = std::env::temp_dir().join("serve_manifest_quant");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let m = ModelManifest::lstm(&lstm_config(), &vocab()).with_quantized(true);
-        m.save(&dir).unwrap();
-        let loaded = ModelManifest::load(&dir).unwrap();
-        assert!(loaded.quantized);
-        assert_eq!(loaded, m);
-
-        let mut tv = TfIdfVectorizer::new(TfIdfConfig::default());
-        tv.fit(&[vec!["stir", "onion"], vec!["stir"]]);
-        let linear = ModelManifest::linear(4, &tv).with_quantized(true);
-        linear.save(&dir).unwrap();
-        let err = ModelManifest::load(&dir).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn param_count_matches_the_skeleton_it_bounds() {
+        for layers in [1, 3] {
+            let mut config = lstm_config();
+            config.layers = layers;
+            let m = ModelManifest::lstm(&config, &vocab());
+            let model = nn::LstmClassifier::zeroed(config);
+            assert_eq!(m.param_count(), Some(elements(&model)), "{layers} layers");
+        }
+        let config = BertConfig {
+            vocab: 8,
+            d_model: 6,
+            heads: 3,
+            layers: 2,
+            d_ff: 5,
+            max_len: 7,
+            dropout: 0.0,
+            classes: 4,
+        };
+        let mut m = ModelManifest::bert(&config, &vocab());
+        let model = nn::BertClassifier::zeroed(config);
+        assert_eq!(m.param_count(), Some(elements(&model)));
+        m.layers = usize::MAX;
+        assert_eq!(m.param_count(), None, "overflow is reported, not wrapped");
     }
 
     #[test]

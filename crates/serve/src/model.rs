@@ -17,7 +17,7 @@
 //! `nn::infer` and `tests/serve_integration.rs`).
 
 use ml::LinearModel;
-use nn::{BertClassifier, FusedLstm, LstmClassifier, QuantLstmClassifier};
+use nn::{BertClassifier, FusedLstm, LstmClassifier};
 use std::collections::HashMap;
 use textproc::{CsrBuilder, Vocabulary};
 
@@ -106,52 +106,6 @@ impl ServingModel for LstmServing {
 }
 
 // ---------------------------------------------------------------------------
-// LSTM, int8: same fused engine shape, weights quantized at load time.
-// Answers are NOT bit-identical to the f32 engine (quantization is lossy),
-// which is why the registry only builds this when the manifest opts in and
-// why `serve_load` gates top-class agreement against the f32 path.
-
-/// An int8-quantized LSTM classifier plus its vocabulary.
-pub struct QuantLstmServing {
-    model: QuantLstmClassifier,
-    vocab: Vocabulary,
-}
-
-impl QuantLstmServing {
-    /// Quantizes a restored f32 classifier into a serving engine.
-    pub fn new(model: &LstmClassifier, vocab: Vocabulary) -> Self {
-        Self {
-            model: QuantLstmClassifier::from_f32(model),
-            vocab,
-        }
-    }
-}
-
-impl ServingModel for QuantLstmServing {
-    fn kind(&self) -> &'static str {
-        "lstm-int8"
-    }
-
-    fn num_classes(&self) -> usize {
-        self.model.config().classes
-    }
-
-    fn featurize(&self, tokens: &[String]) -> Features {
-        Features::Ids(
-            tokens
-                .iter()
-                .map(|t| self.vocab.lookup_or_unk(t) as usize)
-                .collect(),
-        )
-    }
-
-    fn predict(&self, batch: &[&Features]) -> Vec<Vec<f64>> {
-        let seqs: Vec<&[usize]> = batch.iter().map(|f| ids_of(f, "lstm-int8")).collect();
-        self.model.predict_proba_batch(&seqs)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // BERT: no fused engine (attention already batches poorly over ragged
 // sequences); served through shared-graph evaluation, which still
 // amortizes parameter binding across the batch.
@@ -160,40 +114,18 @@ impl ServingModel for QuantLstmServing {
 pub struct BertServing {
     model: BertClassifier,
     vocab: Vocabulary,
-    quantized: bool,
 }
 
 impl BertServing {
     /// Wraps a restored classifier and its vocabulary.
     pub fn new(model: BertClassifier, vocab: Vocabulary) -> Self {
-        Self {
-            model,
-            vocab,
-            quantized: false,
-        }
-    }
-
-    /// Wraps a restored classifier after round-tripping every weight
-    /// matrix through int8 (`nn::quantize_model_weights`). The graph
-    /// forward stays f32, so the answers carry exactly the int8
-    /// quantization error without a hand-fused attention kernel.
-    pub fn new_quantized(mut model: BertClassifier, vocab: Vocabulary) -> Self {
-        nn::quantize_model_weights(&mut model);
-        Self {
-            model,
-            vocab,
-            quantized: true,
-        }
+        Self { model, vocab }
     }
 }
 
 impl ServingModel for BertServing {
     fn kind(&self) -> &'static str {
-        if self.quantized {
-            "bert-int8"
-        } else {
-            "bert"
-        }
+        "bert"
     }
 
     fn num_classes(&self) -> usize {

@@ -26,10 +26,8 @@ use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use nn::{BertClassifier, CheckpointManager, LstmClassifier, SequenceModel};
 
-use crate::manifest::{ModelManifest, LINEAR_FILE};
-use crate::model::{
-    BertServing, Features, LinearServing, LstmServing, QuantLstmServing, ServingModel,
-};
+use crate::manifest::{no_checkpoint, ModelManifest, LINEAR_FILE};
+use crate::model::{BertServing, Features, LinearServing, LstmServing, ServingModel};
 
 static LOADS: trace::Counter = trace::Counter::new("serve.registry.loads");
 static WARMUPS: trace::Counter = trace::Counter::new("serve.registry.warmups");
@@ -39,7 +37,6 @@ pub struct LoadedModel {
     /// Shared with the map's key: one allocation serves both.
     name: Arc<str>,
     version: u64,
-    kind: String,
     model: Box<dyn ServingModel>,
 }
 
@@ -56,9 +53,10 @@ impl LoadedModel {
         self.version
     }
 
-    /// The manifest's model kind (`"lstm"`, `"bert"`, `"linear"`).
+    /// The model's kind (`"lstm"`, `"bert"`, `"linear"`), which for a
+    /// model loaded from disk is its manifest's kind.
     pub fn kind(&self) -> &str {
-        &self.kind
+        self.model.kind()
     }
 
     /// The servable model itself.
@@ -72,7 +70,7 @@ impl std::fmt::Debug for LoadedModel {
         f.debug_struct("LoadedModel")
             .field("name", &self.name)
             .field("version", &self.version)
-            .field("kind", &self.kind)
+            .field("kind", &self.kind())
             .finish_non_exhaustive()
     }
 }
@@ -148,37 +146,30 @@ impl ModelRegistry {
     /// # Errors
     ///
     /// Any manifest or weight-file error (missing files, checksum or
-    /// architecture mismatch, a linear snapshot whose class count or
-    /// width disagrees with the manifest, and with warmup on a
-    /// non-finite sequence-model parameter or a failed warmup batch) is
-    /// returned and the previously loaded version, if any, stays in
-    /// place.
+    /// architecture mismatch, a sequence-model manifest whose shape holds
+    /// more parameters than its checkpoint has bytes, a linear snapshot
+    /// whose class count or width disagrees with the manifest, and with
+    /// warmup on a non-finite sequence-model parameter or a failed warmup
+    /// batch) is returned and the previously loaded version, if any,
+    /// stays in place.
     pub fn load(&self, name: &str, dir: &Path) -> io::Result<Arc<LoadedModel>> {
         let _span = trace::span("serve.registry.load");
         let manifest = ModelManifest::load(dir)?;
         let gate = self.warmup.load(Ordering::Relaxed);
         let model: Box<dyn ServingModel> = match manifest.kind.as_str() {
             "lstm" => {
-                let vocab = manifest.vocabulary();
-                let mut model = LstmClassifier::zeroed(manifest.lstm_config()?);
+                let config = manifest.lstm_config()?;
+                manifest.check_checkpoint_budget(dir)?;
+                let mut model = LstmClassifier::zeroed(config);
                 restore(dir, &mut model, gate)?;
-                if manifest.quantized {
-                    // int8 is a load-time representation: the checkpoint
-                    // stays f32 on disk, the weights quantize here
-                    Box::new(QuantLstmServing::new(&model, vocab))
-                } else {
-                    Box::new(LstmServing::new(model, vocab))
-                }
+                Box::new(LstmServing::new(model, manifest.vocabulary()))
             }
             "bert" => {
-                let vocab = manifest.vocabulary();
-                let mut model = BertClassifier::zeroed(manifest.bert_config()?);
+                let config = manifest.bert_config()?;
+                manifest.check_checkpoint_budget(dir)?;
+                let mut model = BertClassifier::zeroed(config);
                 restore(dir, &mut model, gate)?;
-                if manifest.quantized {
-                    Box::new(BertServing::new_quantized(model, vocab))
-                } else {
-                    Box::new(BertServing::new(model, vocab))
-                }
+                Box::new(BertServing::new(model, manifest.vocabulary()))
             }
             "linear" => {
                 let model = load_linear(dir, &manifest)?;
@@ -192,13 +183,19 @@ impl ModelRegistry {
             }
             other => unreachable!("manifest validation admitted kind {other:?}"),
         };
-        self.publish_kind(name, manifest.kind, model)
+        self.publish(name, model)
     }
 
     /// Registers an in-process model under `name`, running the same
     /// warmup gate and version bump as [`load`](Self::load) but without a
     /// disk round-trip. This is how freshly trained models (or decorated
     /// engines in benches/tests) enter the serving tier.
+    ///
+    /// This is the one place entries enter the registry. The warmup pass
+    /// runs before the lock, so a slow (or hung) model build stalls no
+    /// lookup and no other writer; the write lock is held only to assign
+    /// the version and insert the entry, which is what makes versions
+    /// strictly increase per name.
     ///
     /// # Errors
     ///
@@ -207,21 +204,6 @@ impl ModelRegistry {
     pub fn publish(
         &self,
         name: &str,
-        model: Box<dyn ServingModel>,
-    ) -> io::Result<Arc<LoadedModel>> {
-        let kind = model.kind().to_string();
-        self.publish_kind(name, kind, model)
-    }
-
-    /// The one place entries enter the registry. The warmup pass runs
-    /// before the lock, so a slow (or hung) model build stalls no lookup
-    /// and no other writer; the write lock is held only to assign the
-    /// version and insert the entry, which is what makes versions
-    /// strictly increase per name.
-    fn publish_kind(
-        &self,
-        name: &str,
-        kind: String,
         model: Box<dyn ServingModel>,
     ) -> io::Result<Arc<LoadedModel>> {
         if self.warmup.load(Ordering::Relaxed) {
@@ -233,7 +215,6 @@ impl ModelRegistry {
         let loaded = Arc::new(LoadedModel {
             name: Arc::clone(&key),
             version: self.next_version.fetch_add(1, Ordering::Relaxed) + 1,
-            kind,
             model,
         });
         models.insert(key, Arc::clone(&loaded));
@@ -339,16 +320,9 @@ fn load_linear(dir: &Path, manifest: &ModelManifest) -> io::Result<ml::LinearMod
 /// set (warmup on), a checkpoint holding a non-finite parameter fails
 /// here, naming the parameter.
 fn restore<M: SequenceModel>(dir: &Path, model: &mut M, gate: bool) -> io::Result<()> {
-    let found = CheckpointManager::new(dir)?.load_latest(model.store_mut())?;
-    if found.is_none() {
-        return Err(io::Error::new(
-            io::ErrorKind::NotFound,
-            format!(
-                "no checkpoint (latest.ckpt/previous.ckpt) in {}",
-                dir.display()
-            ),
-        ));
-    }
+    CheckpointManager::new(dir)?
+        .load_latest(model.store_mut())?
+        .ok_or_else(|| no_checkpoint(dir))?;
     if gate {
         if let Some((_, name, _)) = model.store().iter().find(|(_, _, t)| t.has_non_finite()) {
             return Err(io::Error::new(
@@ -369,7 +343,7 @@ mod tests {
 
     use nn::{predict_proba_graph, save_checkpoint, LstmConfig, LstmPooling};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use textproc::{TfIdfConfig, TfIdfVectorizer, Vocabulary};
 
     fn vocab() -> Vocabulary {
@@ -395,6 +369,28 @@ mod tests {
         ModelManifest::lstm(&config(), &vocab()).save(dir).unwrap();
         save_checkpoint(model.store(), &dir.join("latest.ckpt")).unwrap();
         model
+    }
+
+    fn bert_config() -> nn::BertConfig {
+        nn::BertConfig {
+            vocab: 8,
+            d_model: 8,
+            heads: 2,
+            layers: 1,
+            d_ff: 16,
+            max_len: 12,
+            dropout: 0.0,
+            classes: 3,
+        }
+    }
+
+    fn write_bert_dir(dir: &Path, seed: u64) {
+        std::fs::create_dir_all(dir).unwrap();
+        let model = BertClassifier::new(bert_config(), &mut StdRng::seed_from_u64(seed));
+        ModelManifest::bert(&bert_config(), &vocab())
+            .save(dir)
+            .unwrap();
+        save_checkpoint(model.store(), &dir.join("latest.ckpt")).unwrap();
     }
 
     #[test]
@@ -436,35 +432,29 @@ mod tests {
     }
 
     #[test]
-    fn quantized_manifest_takes_the_int8_path_and_plain_does_not() {
-        let dir = std::env::temp_dir().join("serve_registry_quant");
+    fn quantized_false_serves_f32_bits_and_any_other_value_is_refused() {
+        let dir = std::env::temp_dir().join("serve_registry_quantized_field");
         let _ = std::fs::remove_dir_all(&dir);
         let reference = write_lstm_dir(&dir, 11);
-
-        // golden: a manifest without the opt-in must serve the f32 engine,
-        // bit-identical to the in-process classifier
+        let path = dir.join(crate::MANIFEST_FILE);
+        let json = std::fs::read_to_string(&path).unwrap();
+        assert!(!json.contains("quantized"));
+        let with = |field: &str| format!("{},{field}}}", json.strip_suffix('}').unwrap());
         let registry = ModelRegistry::new();
-        let f32_loaded = registry.load("lstm", &dir).unwrap();
-        assert_eq!(f32_loaded.model().kind(), "lstm");
         let features = crate::Features::Ids(vec![5, 6, 7]);
-        let exact = predict_proba_graph(&reference, &[&[5, 6, 7]]);
-        assert_eq!(f32_loaded.model().predict(&[&features]), exact);
-
-        // opt-in: same checkpoint, quantized manifest → int8 engine
-        ModelManifest::lstm(&config(), &vocab())
-            .with_quantized(true)
-            .save(&dir)
-            .unwrap();
-        let quant = registry.load("lstm", &dir).unwrap();
-        assert_eq!(quant.kind(), "lstm", "manifest kind is unchanged");
-        assert_eq!(quant.model().kind(), "lstm-int8");
-        assert!(quant.version() > f32_loaded.version());
-        let probs = quant.model().predict(&[&features]);
-        assert_eq!(probs.len(), 1);
-        let row = &probs[0];
-        assert!((row.iter().sum::<f64>() - 1.0).abs() < 1e-6);
-        for (p, e) in row.iter().zip(&exact[0]) {
-            assert!((p - e).abs() < 0.05, "int8 drifted too far: {p} vs {e}");
+        let expected = predict_proba_graph(&reference, &[&[5, 6, 7]]);
+        // every manifest written while int8 serving existed says `false`
+        for text in [json.clone(), with("\"quantized\":false")] {
+            std::fs::write(&path, text).unwrap();
+            let loaded = registry.load("lstm", &dir).unwrap();
+            assert_eq!(loaded.model().predict(&[&features]), expected);
+        }
+        // an int8 deploy must not silently serve f32
+        for value in ["true", "1", "\"false\"", "null"] {
+            std::fs::write(&path, with(&format!("\"quantized\":{value}"))).unwrap();
+            let err = registry.load("lstm", &dir).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{value}: {err}");
+            assert!(err.to_string().contains("\"quantized\""), "{value}: {err}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -726,36 +716,37 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         write_lstm_dir(&dir, 14);
         let registry = ModelRegistry::new();
+        // The shapes of 10^5 and more used to reach the zeroed skeleton,
+        // whose failed allocation aborted the process (supervisor
+        // included); the checkpoint's size now bounds them.
         type Break = fn(&mut ModelManifest);
-        let lstm: [(&str, Break); 4] = [
+        let lstm: [(&str, Break); 8] = [
             ("layers", |m| m.layers = 0),
             ("classes", |m| m.classes = 1),
             ("emb_dim", |m| m.emb_dim = 0),
             ("hidden", |m| m.hidden = 0),
+            ("emb_dim", |m| m.emb_dim = 10_000_000_000),
+            ("hidden", |m| m.hidden = 100_000),
+            ("layers", |m| m.layers = 100_000_000_000),
+            ("classes", |m| m.classes = 100_000_000_000),
         ];
-        let bert_config = nn::BertConfig {
-            vocab: 8,
-            d_model: 8,
-            heads: 2,
-            layers: 1,
-            d_ff: 16,
-            max_len: 12,
-            dropout: 0.0,
-            classes: 3,
-        };
-        let bert: [(&str, Break); 5] = [
+        let bert: [(&str, Break); 9] = [
             ("classes", |m| m.classes = 1),
             ("max_len", |m| m.max_len = 2),
             ("layers", |m| m.layers = 0),
             ("heads", |m| m.heads = 0),
             ("multiple of heads", |m| m.hidden = 7),
+            ("hidden must be at least 1", |m| m.hidden = 0),
+            ("ff_dim", |m| m.ff_dim = 100_000_000_000),
+            ("max_len", |m| m.max_len = 100_000_000_000),
+            ("classes", |m| m.classes = 100_000_000_000),
         ];
         let cases = lstm
             .iter()
             .map(|case| (ModelManifest::lstm(&config(), &vocab()), case))
             .chain(
                 bert.iter()
-                    .map(|case| (ModelManifest::bert(&bert_config, &vocab()), case)),
+                    .map(|case| (ModelManifest::bert(&bert_config(), &vocab()), case)),
             );
         for (mut manifest, (field, break_it)) in cases {
             break_it(&mut manifest);
@@ -771,6 +762,105 @@ mod tests {
         }
         assert!(registry.get("m").is_none());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One random edit of a manifest file. Half set a numeric field, which
+    /// reaches the shape checks, the parameter budget and the checkpoint's
+    /// shape check; a cut or a byte overwrite mostly stops at the parser.
+    fn mutate_manifest(mut text: Vec<u8>, rng: &mut StdRng) -> Vec<u8> {
+        const NUMERIC: [&str; 7] = [
+            "classes", "emb_dim", "hidden", "layers", "heads", "ff_dim", "max_len",
+        ];
+        const STRINGS: [(&str, &[&str]); 3] = [
+            ("kind", &["lstm", "bert", "linear", "gru", ""]),
+            ("pooling", &["last", "mean", "max"]),
+            ("format", &["cuisine-serve-manifest-v0", ""]),
+        ];
+        let (field, value) = match rng.gen_range(0..6) {
+            0..=2 => {
+                let value = [0, 1, 1 << 31, 1 << 53, u64::MAX][rng.gen_range(0..5)];
+                let random = rng.gen::<u64>() >> rng.gen_range(0..64);
+                let value = if rng.gen_bool(0.2) { random } else { value };
+                (NUMERIC[rng.gen_range(0..7)], value.to_string())
+            }
+            3 => {
+                let (field, values) = STRINGS[rng.gen_range(0..3)];
+                (
+                    field,
+                    format!("{:?}", values[rng.gen_range(0..values.len())]),
+                )
+            }
+            4 => {
+                text.truncate(rng.gen_range(0..=text.len()));
+                return text;
+            }
+            _ => {
+                if !text.is_empty() {
+                    let at = rng.gen_range(0..text.len());
+                    text[at] = rng.gen::<u32>() as u8;
+                }
+                return text;
+            }
+        };
+        // replace the field's value, which holds no `,` or `}`
+        let text = String::from_utf8_lossy(&text).into_owned();
+        let key = format!("\"{field}\":");
+        let Some(start) = text.find(&key).map(|at| at + key.len()) else {
+            return text.into_bytes();
+        };
+        let end = text[start..]
+            .find([',', '}'])
+            .map_or(text.len(), |e| start + e);
+        format!("{}{value}{}", &text[..start], &text[end..]).into_bytes()
+    }
+
+    #[test]
+    fn fuzzed_manifests_load_or_fail_with_invalid_data() {
+        let base = std::env::temp_dir().join("serve_registry_manifest_fuzz");
+        let _ = std::fs::remove_dir_all(&base);
+        let dirs = [base.join("lstm"), base.join("bert"), base.join("linear")];
+        write_lstm_dir(&dirs[0], 40);
+        write_bert_dir(&dirs[1], 41);
+        write_linear_dir(&dirs[2], &linear_model(3));
+        // every directory holds both weight layouts, so a swapped `kind`
+        // meets weights of the wrong shape rather than no file at all
+        for dir in &dirs[..2] {
+            ml::save_linear(&linear_model(3), &dir.join(LINEAR_FILE)).unwrap();
+        }
+        std::fs::copy(dirs[0].join("latest.ckpt"), dirs[2].join("latest.ckpt")).unwrap();
+        let manifests = dirs
+            .clone()
+            .map(|d| std::fs::read(d.join(crate::MANIFEST_FILE)).unwrap());
+
+        let registry = ModelRegistry::new();
+        let mut rng = StdRng::seed_from_u64(0xF022);
+        let mut loaded = 0;
+        for case in 0..800 {
+            // a quarter of the inputs are uniformly random bytes
+            let bytes: Vec<u8> = if case % 4 == 3 {
+                (0..rng.gen_range(0..256))
+                    .map(|_| rng.gen::<u32>() as u8)
+                    .collect()
+            } else {
+                (0..rng.gen_range(1..=3)).fold(manifests[case % 3].clone(), |text, _| {
+                    mutate_manifest(text, &mut rng)
+                })
+            };
+            std::fs::write(dirs[case % 3].join(crate::MANIFEST_FILE), &bytes).unwrap();
+            match registry.load("fuzz", &dirs[case % 3]) {
+                Ok(_) => loaded += 1,
+                Err(e) => {
+                    let text = String::from_utf8_lossy(&bytes);
+                    assert_eq!(
+                        e.kind(),
+                        io::ErrorKind::InvalidData,
+                        "case {case}: {e}\n{text}"
+                    );
+                }
+            }
+        }
+        assert!(loaded > 0, "no edit left a loadable manifest");
+        std::fs::remove_dir_all(&base).unwrap();
     }
 
     #[test]

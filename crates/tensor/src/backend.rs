@@ -37,7 +37,7 @@
 //!   fixed reduction tree, plus an ascending scalar tail.
 //!
 //! No backend may use FMA contraction (it fuses the mul+add rounding) or
-//! reassociate sums. Combined with the row-tiled `drive` scheduler —
+//! reassociate sums. Combined with the row-tiled scheduler of `execute` —
 //! whose tile → output mapping depends only on the shape — results are
 //! bit-identical across backends × thread counts, which
 //! `tests/backend_conformance.rs` enforces for every registered backend.
@@ -74,8 +74,6 @@ static ALGO_SCALAR_ROW_DOT: Counter = Counter::new("tensor.backend.algo.scalar_r
 static ALGO_SIMD_BROADCAST256: Counter = Counter::new("tensor.backend.algo.simd_broadcast256");
 static ALGO_SIMD_BROADCAST512: Counter = Counter::new("tensor.backend.algo.simd_broadcast512");
 static ALGO_SIMD_ROW_DOT256: Counter = Counter::new("tensor.backend.algo.simd_row_dot256");
-static ALGO_QUANT_PORTABLE: Counter = Counter::new("tensor.backend.algo.quant_portable");
-static ALGO_QUANT_VNNI: Counter = Counter::new("tensor.backend.algo.quant_vnni");
 
 /// Minimum number of multiply-adds (`m · n · k`) before a kernel consults
 /// the thread pool. Below this, tiling overhead beats any speedup and the
@@ -203,10 +201,6 @@ pub enum MatmulAlgo {
     /// AVX2 row-dot kernel (`a_bt`), four output dots in flight, each
     /// reproducing the scalar eight-lane reduction tree.
     SimdRowDot256,
-    /// Portable u8 × i8 int8 kernel (exact integer accumulation).
-    QuantPortable,
-    /// AVX-512 VNNI `vpdpbusd` int8 kernel over the packed weight layout.
-    QuantVnni,
 }
 
 impl MatmulAlgo {
@@ -219,8 +213,6 @@ impl MatmulAlgo {
             MatmulAlgo::SimdBroadcast256 => "simd_broadcast256",
             MatmulAlgo::SimdBroadcast512 => "simd_broadcast512",
             MatmulAlgo::SimdRowDot256 => "simd_row_dot256",
-            MatmulAlgo::QuantPortable => "quant_portable",
-            MatmulAlgo::QuantVnni => "quant_vnni",
         }
     }
 }
@@ -240,14 +232,6 @@ pub trait Backend: Sync {
 
     /// Per-shape algorithm selection for an f32 product.
     fn select(&self, desc: &MatmulDesc) -> MatmulAlgo;
-
-    /// Per-shape algorithm selection for the int8 product `A · W`.
-    /// `packed` reports whether the weight carries the VNNI-blocked
-    /// layout this CPU can run.
-    fn select_quant(&self, desc: &MatmulDesc, packed: bool) -> MatmulAlgo {
-        let _ = (desc, packed);
-        MatmulAlgo::QuantPortable
-    }
 
     /// Computes output rows `lo..hi` (`rows` is that slice of the output)
     /// for the descriptor with the selected algorithm. Called from pool
@@ -487,7 +471,7 @@ fn record_backend(backend: &'static dyn Backend) {
     }
 }
 
-pub(crate) fn record_algo(algo: MatmulAlgo) {
+fn record_algo(algo: MatmulAlgo) {
     match algo {
         MatmulAlgo::ScalarRegTile => ALGO_SCALAR_REG_TILE.incr(),
         MatmulAlgo::ScalarStream => ALGO_SCALAR_STREAM.incr(),
@@ -495,27 +479,15 @@ pub(crate) fn record_algo(algo: MatmulAlgo) {
         MatmulAlgo::SimdBroadcast256 => ALGO_SIMD_BROADCAST256.incr(),
         MatmulAlgo::SimdBroadcast512 => ALGO_SIMD_BROADCAST512.incr(),
         MatmulAlgo::SimdRowDot256 => ALGO_SIMD_ROW_DOT256.incr(),
-        MatmulAlgo::QuantPortable => ALGO_QUANT_PORTABLE.incr(),
-        MatmulAlgo::QuantVnni => ALGO_QUANT_VNNI.incr(),
     }
 }
 
-/// Selects the int8 algorithm for the current backend and records the
-/// dispatch (the int8 kernels in [`crate::quant`] share the descriptor
-/// API and driver but keep their own kernel bodies — their inputs are
-/// quantized, not `f32` slices).
-pub(crate) fn select_quant_recorded(desc: &MatmulDesc, packed: bool) -> MatmulAlgo {
-    let backend = current();
-    let algo = backend.select_quant(desc, packed);
-    record_backend(backend);
-    record_algo(algo);
-    algo
-}
-
 /// Validates the descriptor against the operand buffers, selects backend
-/// and algorithm, records both, and drives the tiled kernel. An `a_b`
-/// descriptor accumulates into `out` (`C += A · B`); `at_b` and `a_bt`
-/// overwrite it.
+/// and algorithm, records both, and runs the kernel over a row-tiling of
+/// the `m × n` output, each tile on the output slice of its rows. Every
+/// backend inherits the same tiling, and so the same determinism
+/// contract. An `a_b` descriptor accumulates into `out` (`C += A · B`);
+/// `at_b` and `a_bt` overwrite it.
 pub(crate) fn execute(desc: &MatmulDesc, a: &[f32], b: &[f32], out: &mut [f32], exec: Exec) {
     let op = desc.op(); // rejects the double-transpose descriptor
     let (a_len, b_len, out_len) = desc.expected_lens();
@@ -530,48 +502,11 @@ pub(crate) fn execute(desc: &MatmulDesc, a: &[f32], b: &[f32], out: &mut [f32], 
     let algo = backend.select(desc);
     record_backend(backend);
     record_algo(algo);
-    drive(exec, desc.m, desc.n, desc.k, out, &|lo, hi, rows| {
-        backend.matmul_tile(desc, algo, a, b, lo, hi, rows)
-    });
-}
-
-/// Raw output pointer smuggled into tile tasks. Sound because tiles write
-/// disjoint row ranges of the same allocation.
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f32);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
-/// Contiguous row range `[lo, hi)` of tile `t` out of `tiles` over `m`
-/// rows: the first `m % tiles` tiles get one extra row. Depends only on
-/// the problem shape, never on scheduling.
-fn tile_bounds(m: usize, tiles: usize, t: usize) -> (usize, usize) {
-    let base = m / tiles;
-    let rem = m % tiles;
-    let lo = t * base + t.min(rem);
-    (lo, lo + base + usize::from(t < rem))
-}
-
-/// Runs `tile_body(lo, hi, rows)` over a row-tiling of the `m × n` output,
-/// where `rows` is the output slice for rows `lo..hi`. Shared by every
-/// backend and by the int8 kernels in [`crate::quant`], which therefore
-/// all inherit the same tiling and the same determinism contract.
-pub(crate) fn drive(
-    exec: Exec,
-    m: usize,
-    n: usize,
-    k: usize,
-    out: &mut [f32],
-    tile_body: &(dyn Fn(usize, usize, &mut [f32]) + Sync),
-) {
+    let (m, n) = (desc.m, desc.n);
+    let tile_body = |lo, hi, rows: &mut [f32]| backend.matmul_tile(desc, algo, a, b, lo, hi, rows);
     let threads = match exec {
-        Exec::Auto => {
-            if m.saturating_mul(n).saturating_mul(k) >= PAR_THRESHOLD {
-                pool::num_threads()
-            } else {
-                1
-            }
-        }
+        Exec::Auto if desc.mul_adds() >= PAR_THRESHOLD => pool::num_threads(),
+        Exec::Auto => 1,
         Exec::Threads(t) => t.max(1),
     };
     let threads = threads.min(m.max(1));
@@ -591,7 +526,7 @@ pub(crate) fn drive(
         let ptr = ptr; // capture the Sync wrapper, not the raw pointer field
         let (lo, hi) = tile_bounds(m, tiles, t);
         // Safety: tiles own disjoint row ranges, so the views never alias,
-        // and `drive` does not return until every tile has completed.
+        // and `execute` does not return until every tile has completed.
         let rows = unsafe { std::slice::from_raw_parts_mut(ptr.0.add(lo * n), (hi - lo) * n) };
         tile_body(lo, hi, rows);
     };
@@ -599,6 +534,23 @@ pub(crate) fn drive(
         Exec::Auto => pool::global().run(tiles, &task),
         Exec::Threads(t) => pool::run_scoped(t, tiles, &task),
     }
+}
+
+/// Raw output pointer smuggled into tile tasks. Sound because tiles write
+/// disjoint row ranges of the same allocation.
+#[derive(Clone, Copy)]
+struct SendPtr(*mut f32);
+unsafe impl Send for SendPtr {}
+unsafe impl Sync for SendPtr {}
+
+/// Contiguous row range `[lo, hi)` of tile `t` out of `tiles` over `m`
+/// rows: the first `m % tiles` tiles get one extra row. Depends only on
+/// the problem shape, never on scheduling.
+fn tile_bounds(m: usize, tiles: usize, t: usize) -> (usize, usize) {
+    let base = m / tiles;
+    let rem = m % tiles;
+    let lo = t * base + t.min(rem);
+    (lo, lo + base + usize::from(t < rem))
 }
 
 #[cfg(test)]

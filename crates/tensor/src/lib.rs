@@ -32,7 +32,6 @@ mod init;
 mod matmul;
 mod ops;
 pub mod pool;
-mod quant;
 mod simd;
 mod tensor;
 
@@ -46,10 +45,6 @@ pub use matmul::{
 };
 pub use ops::{log_softmax_rows, softmax_rows, softmax_rows_into};
 pub use pool::num_threads;
-pub use quant::{
-    quant_matmul, quant_matmul_at_b, quant_matmul_at_b_into, quant_matmul_at_b_with_threads,
-    quant_matmul_into, quant_matmul_with_threads, QuantMatrix,
-};
 pub use simd::SimdBackend;
 pub use tensor::Tensor;
 

@@ -124,16 +124,6 @@ impl Backend for SimdBackend {
         }
     }
 
-    fn select_quant(&self, _desc: &MatmulDesc, packed: bool) -> MatmulAlgo {
-        // `packed` is only ever true when AVX-512 VNNI was detected at
-        // quantization time (same process), so packed ⇒ the kernel runs.
-        if packed {
-            MatmulAlgo::QuantVnni
-        } else {
-            MatmulAlgo::QuantPortable
-        }
-    }
-
     fn matmul_tile(
         &self,
         desc: &MatmulDesc,
@@ -150,7 +140,7 @@ impl Backend for SimdBackend {
             }
             #[cfg(target_arch = "x86_64")]
             // Safety: these algos are only selected after runtime feature
-            // detection (avx512f / avx2 respectively), and `drive` hands
+            // detection (avx512f / avx2 respectively), and `execute` hands
             // the kernels in-bounds row ranges of a correctly sized out.
             MatmulAlgo::SimdBroadcast512 => unsafe {
                 match desc.op() {
@@ -169,6 +159,7 @@ impl Backend for SimdBackend {
             },
             #[cfg(target_arch = "x86_64")]
             MatmulAlgo::SimdRowDot256 => unsafe { x86::a_bt_256(desc, a, b, lo, hi, rows) },
+            #[cfg(not(target_arch = "x86_64"))]
             other => panic!("simd backend cannot run algo {other:?}"),
         }
     }

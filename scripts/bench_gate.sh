@@ -33,10 +33,7 @@ for baseline in "$BASELINES"/BENCH_*.json; do
             echo "bench_gate: $fresh missing — running the matmul bench"
             cargo bench -q -p bench --bench matmul >/dev/null
             ;;
-        BENCH_serve.json | BENCH_quant.json)
-            # One serve_load run emits both files (f32/int8 serving
-            # timings plus the cache sweep), so whichever baseline hits
-            # this arm first refreshes the other too.
+        BENCH_serve.json)
             echo "bench_gate: $fresh missing — running serve_load"
             cargo run --release -q -p bench --bin serve_load >/dev/null
             ;;

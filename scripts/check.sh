@@ -37,13 +37,12 @@ cargo run --release -q -p cuisine --example persist_model
 echo "== benchmark helper tests (perfbench) =="
 cargo test -q --release --manifest-path perfbench/Cargo.toml
 
-# The fault-tolerance, tensor-property and quant-property suites exercise
-# code paths that differ between serial and parallel pools (panic
-# containment, shard merging, tile claiming, int8 column-tile claiming) —
-# run them at several pool widths, crossed with each tensor backend
-# (TENSOR_BACKEND): the determinism contract says results are bit-identical
-# across backends × thread counts, and the conformance/selection suites
-# assert exactly that. The fused LSTM engine's bit-identity tests
+# The fault-tolerance and tensor-property suites exercise code paths that
+# differ between serial and parallel pools (panic containment, shard
+# merging, tile claiming) — run them at several pool widths, crossed with
+# each tensor backend (TENSOR_BACKEND): the determinism contract says
+# results are bit-identical across backends × thread counts, and the
+# conformance/selection suites assert exactly that. The fused LSTM engine's bit-identity tests
 # (`nn::infer`, which compare its layer-major forward against per-example
 # graph evaluation) join the same sweep; they also cover the engine's
 # layer-0 token projection table, whose build at the serving shape is
@@ -55,8 +54,7 @@ for threads in 1 2 4; do
         echo "== pool-sensitive suites (TENSOR_THREADS=$threads TENSOR_BACKEND=$be) =="
         TENSOR_THREADS=$threads TENSOR_BACKEND=$be cargo test -q -p cuisine \
             --test fault_tolerance --test tensor_properties \
-            --test quant_properties --test backend_conformance \
-            --test backend_selection
+            --test backend_conformance --test backend_selection
         TENSOR_THREADS=$threads TENSOR_BACKEND=$be cargo test -q -p nn --lib infer
     done
     echo "== serve suites (TENSOR_THREADS=$threads) =="
@@ -66,19 +64,17 @@ for threads in 1 2 4; do
         --test registry_stress
 done
 
-# End-to-end int8 accuracy gate: serve_load trains a small model, serves it
-# through both the f32 and quantized registries, and asserts top-class
-# agreement >= 99% plus bit-identity of the quantized kernels across thread
-# counts. JSON goes to a scratch dir so the workspace BENCH_*.json files
-# (compared against baselines by bench_gate.sh) are not clobbered.
-quant_gate_dir="$(mktemp -d)"
-trap 'rm -rf "$quant_gate_dir"' EXIT
+# Batched serving bit-identity gate: serve_load serves the LSTM through a
+# BatchServer under concurrent clients and asserts every answer is
+# bit-identical to one-at-a-time graph evaluation. JSON goes to a scratch
+# dir so the workspace BENCH_*.json files (compared against baselines by
+# bench_gate.sh) are not clobbered.
+gate_dir="$(mktemp -d)"
+trap 'rm -rf "$gate_dir"' EXIT
 for threads in 1 4; do
-    echo "== quantized accuracy gate (TENSOR_THREADS=$threads) =="
+    echo "== batched serving bit-identity gate (TENSOR_THREADS=$threads) =="
     TENSOR_THREADS=$threads cargo run --release -q -p bench --bin serve_load -- \
-        --requests 192 --min-agreement 0.99 \
-        --json "$quant_gate_dir/BENCH_serve.json" \
-        --quant-json "$quant_gate_dir/BENCH_quant.json"
+        --requests 192 --json "$gate_dir/BENCH_serve.json"
 done
 
 # Completion-queue gate: cq_load pins >= 1024 requests in flight from a
@@ -86,7 +82,7 @@ done
 # requires every answer bit-identical to the sequential path.
 echo "== completion queue gate (cq_load) =="
 cargo run --release -q -p bench --bin cq_load -- \
-    --min-inflight 1024 --json "$quant_gate_dir/BENCH_cq.json"
+    --min-inflight 1024 --json "$gate_dir/BENCH_cq.json"
 
 # Featurization gate: registry_load proves >= 2.5x batch featurization
 # speedup over the serial loop with bit-identical predictions.
@@ -94,7 +90,7 @@ cargo run --release -q -p bench --bin cq_load -- \
 echo "== parallel featurization gate (registry_load) =="
 TENSOR_THREADS=4 cargo run --release -q -p bench --bin registry_load -- \
     --min-featurize-speedup 2.5 \
-    --json "$quant_gate_dir/BENCH_registry.json"
+    --json "$gate_dir/BENCH_registry.json"
 
 # Process-isolation gate: supervisor_load drives a request stream through
 # a supervised fleet of replica_worker processes (unix sockets), asserts
@@ -104,6 +100,6 @@ TENSOR_THREADS=4 cargo run --release -q -p bench --bin registry_load -- \
 # build above and resolved as a sibling of the bench binary.
 echo "== process isolation gate (supervisor_load) =="
 cargo run --release -q -p bench --bin supervisor_load -- \
-    --max-recovery-ms 15000 --json "$quant_gate_dir/BENCH_supervisor.json"
+    --max-recovery-ms 15000 --json "$gate_dir/BENCH_supervisor.json"
 
 echo "all checks passed"

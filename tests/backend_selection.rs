@@ -21,10 +21,7 @@ mod common;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use common::*;
-use tensor::{
-    backend, matmul, matmul_a_bt, matmul_at_b, quant_matmul, with_backend, MatmulAlgo, MatmulDesc,
-    QuantMatrix,
-};
+use tensor::{backend, matmul, matmul_a_bt, matmul_at_b, with_backend, MatmulAlgo, MatmulDesc};
 
 /// Serialises tests that enable/reset the global trace registry.
 static TRACE_TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -207,42 +204,6 @@ fn simd_backend_selects_scalar_algos_for_narrow_shapes() {
         simd.select(&MatmulDesc::a_bt(4, 64, 4)),
         MatmulAlgo::SimdRowDot256
     );
-}
-
-/// The int8 path shares the descriptor API: dispatches record a quant
-/// algorithm counter, and — since both int8 kernels accumulate exact
-/// integers — the backend choice never changes the quantized result.
-#[test]
-fn quant_dispatch_records_algo_and_is_backend_invariant() {
-    let a = random_tensor(3, 32, 21);
-    let w = QuantMatrix::quantize(&random_tensor(32, 8, 22));
-
-    let _t = trace_guard();
-    trace::enable();
-    trace::reset();
-    let scalar_out = with_backend("scalar", || quant_matmul(&a, &w));
-    let snap = trace::snapshot();
-    trace::reset();
-    assert_eq!(
-        counter(&snap, "tensor.backend.algo.quant_portable"),
-        1,
-        "scalar backend must always run the portable int8 kernel"
-    );
-
-    if backend::all()
-        .into_iter()
-        .any(|b| b.name() == "simd" && b.supported())
-    {
-        trace::reset();
-        let simd_out = with_backend("simd", || quant_matmul(&a, &w));
-        let snap = trace::snapshot();
-        trace::reset();
-        let portable = counter(&snap, "tensor.backend.algo.quant_portable");
-        let vnni = counter(&snap, "tensor.backend.algo.quant_vnni");
-        assert_eq!(portable + vnni, 1, "exactly one quant algo per dispatch");
-        assert_bits_equal("quant scalar-vs-simd", &scalar_out, &simd_out);
-    }
-    trace::disable();
 }
 
 #[test]
