@@ -12,7 +12,7 @@ use ml::{Classifier, LogisticRegression};
 use recipedb::NUM_CUISINES;
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[]);
     let config = args.config();
     eprintln!("preparing corpus…");
     let pipeline = Pipeline::prepare(&config);

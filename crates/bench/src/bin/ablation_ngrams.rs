@@ -13,7 +13,7 @@ use recipedb::NUM_CUISINES;
 use textproc::{with_ngrams, TfIdfConfig, TfIdfVectorizer};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[]);
     let config = args.config();
     eprintln!("preparing corpus…");
     let pipeline = Pipeline::prepare(&config);

@@ -15,7 +15,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[]);
     let config = args.config();
     eprintln!("preparing corpus…");
     let pipeline = Pipeline::prepare(&config);

@@ -16,7 +16,7 @@ use std::collections::HashSet;
 use textproc::{TfIdfConfig, TfIdfVectorizer};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[]);
     let config = args.config();
     eprintln!("preparing corpus…");
     let pipeline = Pipeline::prepare(&config);

@@ -10,7 +10,7 @@ use recipedb::{generate, train_val_test_split, EntityKind, NUM_CUISINES};
 use textproc::{clean_text, lemmatize, TfIdfConfig, TfIdfVectorizer};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[]);
     let config = args.config();
     eprintln!("generating corpus…");
     let dataset = generate(&config.generator);

@@ -10,7 +10,7 @@ use cuisine::{ModelKind, Pipeline, PipelineConfig};
 use recipedb::SignalProfile;
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[]);
 
     let variants: Vec<(&str, SignalProfile)> = vec![
         (

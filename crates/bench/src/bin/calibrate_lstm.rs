@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[]);
     let config = args.config();
     eprintln!("preparing corpus…");
     let pipeline = Pipeline::prepare(&config);

@@ -13,7 +13,7 @@ use ml::{
 use recipedb::NUM_CUISINES;
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[]);
     let config = args.config();
     let pipeline = Pipeline::prepare(&config);
     let (train_x, _, test_x, _) = pipeline.tfidf_features(&config);

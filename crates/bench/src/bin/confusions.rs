@@ -11,7 +11,7 @@ use cuisine::{ModelKind, Pipeline};
 use recipedb::CuisineId;
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["--top N", "--full"]);
     let config = args.config();
     let top: usize = args
         .value_of("--top")

@@ -53,7 +53,15 @@ fn tiny_lstm_config(vocab: usize) -> LstmConfig {
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[
+        "--requests N",
+        "--stall-us N",
+        "--max-batch N",
+        "--min-inflight N",
+        "--json PATH",
+        "--trace",
+        "--trace-out PATH",
+    ]);
     args.init_trace();
     let requests: usize = args
         .value_of("--requests")

@@ -11,7 +11,7 @@ use ml::{
 };
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["--folds N", "--trace", "--trace-out PATH"]);
     args.init_trace();
     let config = args.config();
     let folds: usize = args

@@ -9,7 +9,7 @@ use cuisine::report::render_accuracy_figure;
 use cuisine::{ModelKind, Pipeline};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["--models LIST"]);
     let config = args.config();
     // default to the fast statistical models; pass --models to add the
     // neural ones

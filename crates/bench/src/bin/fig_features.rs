@@ -9,7 +9,7 @@ use cuisine::report::render_feature_figure;
 use recipedb::{generate, DatasetStats, EntityId};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["--top N"]);
     let config = args.config();
     let top: usize = args
         .value_of("--top")

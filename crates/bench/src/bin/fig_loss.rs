@@ -9,7 +9,7 @@ use cuisine::report::{render_loss_curves, LossKindSel};
 use cuisine::{ModelKind, Pipeline};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["--which train|val", "--models LIST"]);
     let config = args.config();
     let which = match args.value_of("--which").unwrap_or("train") {
         "train" => LossKindSel::Train,

@@ -48,7 +48,14 @@ fn tiny_lstm_config(vocab: usize) -> LstmConfig {
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[
+        "--feat-batch N",
+        "--feat-stall-us N",
+        "--min-featurize-speedup X",
+        "--json PATH",
+        "--trace",
+        "--trace-out PATH",
+    ]);
     args.init_trace();
     let feat_batch: usize = args
         .value_of("--feat-batch")

@@ -11,7 +11,7 @@ use ml::feature_selection::{class_signatures, top_chi2};
 use recipedb::CuisineId;
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["--per-class N"]);
     let config = args.config();
     let per_class: usize = args
         .value_of("--per-class")

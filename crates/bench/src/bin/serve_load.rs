@@ -123,7 +123,15 @@ fn zipf_stream(n: usize, s: f64, len: usize, seed: u64) -> Vec<usize> {
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[
+        "--requests N",
+        "--clients N",
+        "--max-batch N",
+        "--min-speedup X",
+        "--json PATH",
+        "--trace",
+        "--trace-out PATH",
+    ]);
     args.init_trace();
     let requests: usize = args
         .value_of("--requests")

@@ -108,7 +108,17 @@ fn counter(name: &str) -> u64 {
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[
+        "--requests N",
+        "--clients N",
+        "--workers N",
+        "--train-epochs N",
+        "--max-recovery-ms MS",
+        "--worker-bin PATH",
+        "--json PATH",
+        "--trace",
+        "--trace-out PATH",
+    ]);
     let tracing = args.init_trace();
     trace::enable(); // the recovery gate reads supervisor counters
     let requests: usize = args

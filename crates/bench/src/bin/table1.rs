@@ -7,7 +7,7 @@ use bench::HarnessArgs;
 use recipedb::{generate, Continent};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[]);
     let dataset = generate(&args.config().generator);
 
     println!("Table I — sample dataset from synthetic RecipeDB");

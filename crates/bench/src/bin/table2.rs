@@ -7,7 +7,7 @@ use cuisine::report::render_table2;
 use recipedb::{generate, DatasetStats};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[]);
     let config = args.config();
     let dataset = generate(&config.generator);
     let stats = DatasetStats::compute(&dataset);

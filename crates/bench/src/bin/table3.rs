@@ -9,7 +9,7 @@ use cuisine::report::render_table3;
 use recipedb::{generate, DatasetStats};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["--trace", "--trace-out PATH"]);
     args.init_trace();
     let config = args.config();
     let dataset = {

@@ -37,7 +37,16 @@ fn parse_models(spec: &str) -> Vec<ModelKind> {
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[
+        "--models LIST",
+        "--checkpoint-dir DIR",
+        "--resume",
+        "--adaboost",
+        "--csv PATH",
+        "--json PATH",
+        "--trace",
+        "--trace-out PATH",
+    ]);
     args.init_trace();
     let mut config = args.config();
     if let Some(dir) = args.value_of("--checkpoint-dir") {

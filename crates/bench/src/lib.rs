@@ -7,47 +7,93 @@ use cuisine::{PipelineConfig, Scale};
 
 pub mod serving;
 
-/// Command-line options shared by all harness binaries.
+/// Command-line options shared by all harness binaries, plus the flags
+/// one binary declares for itself.
+///
+/// A binary names every flag it reads, each as it would appear in a usage
+/// line: `"--json PATH"` takes a value, a lone `"--csv"` is a switch.
+/// Anything else on the command line, a misspelled or retired flag
+/// included, fails the parse, so a gate flag that no binary reads any more
+/// can never pass silently.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HarnessArgs {
     /// Experiment scale.
     pub scale: Scale,
     /// Seed.
     pub seed: u64,
-    /// Remaining `key=value` / flag arguments.
-    pub rest: Vec<String>,
+    /// The declared flags that were given, in order, each with its value
+    /// (`None` for a switch).
+    given: Vec<(String, Option<String>)>,
+    /// The binary's flag specs.
+    flags: &'static [&'static str],
 }
 
 impl HarnessArgs {
-    /// Parses `std::env::args`, panicking with usage help on bad input.
-    pub fn parse() -> Self {
-        Self::from_iter(std::env::args().skip(1))
+    /// Parses `std::env::args` against the binary's flag specs. On an
+    /// unknown argument, a missing value or a bad `--scale`/`--seed` it
+    /// prints the error and a usage line, and exits with status 2 before
+    /// the binary does any work.
+    pub fn parse(flags: &'static [&'static str]) -> Self {
+        Self::from_iter(std::env::args().skip(1), flags).unwrap_or_else(|e| {
+            let bin = std::env::args()
+                .next()
+                .and_then(|p| {
+                    std::path::Path::new(&p)
+                        .file_name()
+                        .map(|n| n.to_string_lossy().into_owned())
+                })
+                .unwrap_or_else(|| "harness".to_string());
+            eprintln!("{bin}: {e}");
+            eprintln!("{}", usage(&bin, flags));
+            std::process::exit(2);
+        })
     }
 
-    /// Parses an explicit argument list (testable).
+    /// Parses an explicit argument list against `flags` (testable).
+    ///
+    /// # Errors
+    ///
+    /// An argument that is neither `--scale`, `--seed` nor a declared flag,
+    /// a value flag given last without its value, or an unparsable
+    /// `--scale`/`--seed` value.
     #[allow(clippy::should_implement_trait)] // named after structopt's API
-    pub fn from_iter(args: impl IntoIterator<Item = String>) -> Self {
+    pub fn from_iter(
+        args: impl IntoIterator<Item = String>,
+        flags: &'static [&'static str],
+    ) -> Result<Self, String> {
         let mut scale = Scale::Small;
         let mut seed = 2020;
-        let mut rest = Vec::new();
+        let mut given = Vec::new();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
+            let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
             match arg.as_str() {
-                "--scale" => {
-                    let v = it.next().expect("--scale needs a value");
-                    scale = parse_scale(&v);
-                }
+                "--scale" => scale = parse_scale(&value("--scale")?)?,
                 "--seed" => {
-                    seed = it
-                        .next()
-                        .expect("--seed needs a value")
+                    seed = value("--seed")?
                         .parse()
-                        .expect("--seed must be an integer");
+                        .map_err(|_| "--seed must be an integer".to_string())?;
                 }
-                _ => rest.push(arg),
+                _ => {
+                    let spec = flags
+                        .iter()
+                        .find(|spec| flag_name(spec) == arg)
+                        .ok_or_else(|| format!("unknown argument {arg:?}"))?;
+                    let v = if spec.contains(' ') {
+                        Some(value(&arg)?)
+                    } else {
+                        None
+                    };
+                    given.push((arg, v));
+                }
             }
         }
-        Self { scale, seed, rest }
+        Ok(Self {
+            scale,
+            seed,
+            given,
+            flags,
+        })
     }
 
     /// The pipeline config these options select.
@@ -55,18 +101,36 @@ impl HarnessArgs {
         PipelineConfig::new(self.scale, self.seed)
     }
 
-    /// Value of a `--key value` pair in the remaining args.
+    /// The value given for a declared value flag, if it was given.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the binary did not declare `key`: a flag it reads must be
+    /// one the parse accepts.
     pub fn value_of(&self, key: &str) -> Option<&str> {
-        self.rest
+        self.assert_declared(key);
+        self.given
             .iter()
-            .position(|a| a == key)
-            .and_then(|i| self.rest.get(i + 1))
-            .map(String::as_str)
+            .find(|(flag, _)| flag == key)
+            .and_then(|(_, v)| v.as_deref())
     }
 
-    /// Whether a bare flag is present in the remaining args.
+    /// Whether a declared switch was given.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the binary did not declare `flag`.
     pub fn has_flag(&self, flag: &str) -> bool {
-        self.rest.iter().any(|a| a == flag)
+        self.assert_declared(flag);
+        self.given.iter().any(|(f, _)| f == flag)
+    }
+
+    fn assert_declared(&self, key: &str) {
+        assert!(
+            self.flags.iter().any(|spec| flag_name(spec) == key),
+            "{key} is read but not among the declared flags {:?}",
+            self.flags
+        );
     }
 
     /// Turns tracing on when `--trace` was passed (or `CUISINE_TRACE` is
@@ -97,25 +161,44 @@ impl HarnessArgs {
     }
 }
 
-fn parse_scale(v: &str) -> Scale {
-    match v {
+/// The flag a spec declares: its first word.
+fn flag_name(spec: &str) -> &str {
+    spec.split(' ').next().unwrap_or(spec)
+}
+
+fn usage(bin: &str, flags: &[&str]) -> String {
+    let mut line = format!("usage: {bin} [--scale small|medium|paper|FRACTION] [--seed N]");
+    for spec in flags {
+        line.push_str(&format!(" [{spec}]"));
+    }
+    line
+}
+
+fn parse_scale(v: &str) -> Result<Scale, String> {
+    Ok(match v {
         "small" => Scale::Small,
         "medium" => Scale::Medium,
         "paper" => Scale::Paper,
         other => Scale::Custom(
             other
                 .parse::<f64>()
-                .unwrap_or_else(|_| panic!("bad scale {other:?}: use small|medium|paper|fraction")),
+                .map_err(|_| format!("bad scale {other:?}: use small|medium|paper|fraction"))?,
         ),
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const FLAGS: &[&str] = &["--which NAME", "--csv", "--json PATH"];
+
+    fn try_parse(args: &[&str]) -> Result<HarnessArgs, String> {
+        HarnessArgs::from_iter(args.iter().map(|s| s.to_string()), FLAGS)
+    }
+
     fn parse(args: &[&str]) -> HarnessArgs {
-        HarnessArgs::from_iter(args.iter().map(|s| s.to_string()))
+        try_parse(args).unwrap()
     }
 
     #[test]
@@ -138,12 +221,45 @@ mod tests {
         assert_eq!(a.seed, 7);
         assert_eq!(a.value_of("--which"), Some("train"));
         assert!(a.has_flag("--csv"));
-        assert!(!a.has_flag("--nope"));
+        assert_eq!(a.value_of("--json"), None);
     }
 
     #[test]
     #[should_panic(expected = "bad scale")]
     fn bad_scale_panics() {
         let _ = parse(&["--scale", "banana"]);
+    }
+
+    #[test]
+    fn unknown_flags_are_errors_naming_the_flag() {
+        for args in [
+            &["--quant-json", "q.json"][..],
+            &["--which", "train", "--min-agreement", "0.99"],
+            &["--jsn", "out.json"],
+            &["stray"],
+        ] {
+            let err = try_parse(args).unwrap_err();
+            let named = args.iter().find(|a| !["--which", "train"].contains(a));
+            assert!(err.contains(named.unwrap()), "{args:?}: {err}");
+        }
+        assert!(try_parse(&["--json"])
+            .unwrap_err()
+            .contains("--json needs a value"));
+        assert!(try_parse(&["--seed", "x"]).is_err());
+    }
+
+    #[test]
+    fn a_known_flag_takes_its_value_even_when_it_looks_like_a_flag() {
+        let a = parse(&["--json", "--csv", "--which", "val"]);
+        assert_eq!(a.value_of("--json"), Some("--csv"));
+        assert_eq!(a.value_of("--which"), Some("val"));
+        assert!(!a.has_flag("--csv"));
+        assert_eq!(parse(&[]).value_of("--json"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "--top is read but not among the declared flags")]
+    fn reading_an_undeclared_flag_panics() {
+        let _ = parse(&[]).value_of("--top");
     }
 }

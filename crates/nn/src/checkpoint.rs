@@ -621,6 +621,7 @@ pub fn load_checkpoint_with_state(
     store: &mut ParamStore,
     path: &Path,
 ) -> io::Result<Option<TrainState>> {
+    let _span = trace::span("nn.checkpoint.load");
     let mut file = File::open(path)?;
     let file_len = file.metadata()?.len();
     let mut bytes = Vec::with_capacity(MAGIC_V2.len());

@@ -292,9 +292,9 @@ impl ModelManifest {
     }
 
     /// Rebuilds the vocabulary (specials first, then the content tokens
-    /// in their original id order).
-    pub fn vocabulary(&self) -> Vocabulary {
-        Vocabulary::from_tokens(self.vocab_tokens.iter().cloned())
+    /// in their original id order), moving the token strings into it.
+    pub fn into_vocabulary(self) -> Vocabulary {
+        Vocabulary::from_tokens(self.vocab_tokens)
     }
 
     /// Writes `manifest.json` into a model directory.
@@ -425,7 +425,7 @@ mod tests {
         assert_eq!(config.vocab, 8);
         assert_eq!(config.pooling, LstmPooling::MeanPool);
         assert_eq!(config.dropout, 0.0, "inference config never drops out");
-        let v = loaded.vocabulary();
+        let v = loaded.into_vocabulary();
         assert_eq!(v.len(), 8);
         assert_eq!(v.id("onion"), vocab().id("onion"));
         std::fs::remove_dir_all(&dir).unwrap();

@@ -154,7 +154,10 @@ impl ModelRegistry {
     /// stays in place.
     pub fn load(&self, name: &str, dir: &Path) -> io::Result<Arc<LoadedModel>> {
         let _span = trace::span("serve.registry.load");
-        let manifest = ModelManifest::load(dir)?;
+        let manifest = {
+            let _span = trace::span("serve.registry.manifest");
+            ModelManifest::load(dir)?
+        };
         let gate = self.warmup.load(Ordering::Relaxed);
         let model: Box<dyn ServingModel> = match manifest.kind.as_str() {
             "lstm" => {
@@ -162,17 +165,20 @@ impl ModelRegistry {
                 manifest.check_checkpoint_budget(dir)?;
                 let mut model = LstmClassifier::zeroed(config);
                 restore(dir, &mut model, gate)?;
-                Box::new(LstmServing::new(model, manifest.vocabulary()))
+                let _span = trace::span("serve.registry.build");
+                Box::new(LstmServing::new(model, manifest.into_vocabulary()))
             }
             "bert" => {
                 let config = manifest.bert_config()?;
                 manifest.check_checkpoint_budget(dir)?;
                 let mut model = BertClassifier::zeroed(config);
                 restore(dir, &mut model, gate)?;
-                Box::new(BertServing::new(model, manifest.vocabulary()))
+                let _span = trace::span("serve.registry.build");
+                Box::new(BertServing::new(model, manifest.into_vocabulary()))
             }
             "linear" => {
                 let model = load_linear(dir, &manifest)?;
+                let _span = trace::span("serve.registry.build");
                 Box::new(LinearServing::new(
                     model,
                     manifest.tfidf_terms,
@@ -324,6 +330,7 @@ fn restore<M: SequenceModel>(dir: &Path, model: &mut M, gate: bool) -> io::Resul
         .load_latest(model.store_mut())?
         .ok_or_else(|| no_checkpoint(dir))?;
     if gate {
+        let _span = trace::span("serve.registry.gate");
         if let Some((_, name, _)) = model.store().iter().find(|(_, _, t)| t.has_non_finite()) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,

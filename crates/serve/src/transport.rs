@@ -807,6 +807,50 @@ mod tests {
     }
 
     #[test]
+    fn frames_either_side_of_the_crc_fold_round_trip_and_catch_a_flipped_byte() {
+        // payloads just under, at and over the CRC's 64-byte fold
+        // threshold, at and past its first 16-byte tail, and a long one,
+        // each with its CRC as zlib computes it (so the header's bytes are
+        // pinned, not only self-consistent); a flip anywhere in the CRC
+        // or the payload is InvalidData (a flip in the length field reads
+        // as a cut or a longer frame, which the truncation tests cover)
+        for (len, crc) in [
+            (63usize, 0x899F_0E96u32),
+            (64, 0x10A8_DFAE),
+            (65, 0xD886_49C5),
+            (79, 0xFFCF_7951),
+            (80, 0xE6A6_CDB4),
+            (4096, 0x3B9C_D402),
+        ] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 131 + len) as u8).collect();
+            let mut frame = Vec::new();
+            write_frame(&mut frame, &payload).unwrap();
+            assert_eq!(frame[4..8], crc.to_le_bytes(), "len {len}");
+            assert_eq!(read_frame(&mut frame.as_slice()).unwrap(), payload);
+            assert_eq!(
+                split_frame(&frame).unwrap(),
+                Some((payload.as_slice(), frame.len()))
+            );
+            for at in 4..frame.len() {
+                let mut bad = frame.clone();
+                bad[at] ^= 1 << (at % 8);
+                let err = read_frame(&mut bad.as_slice()).unwrap_err();
+                assert_eq!(
+                    err.kind(),
+                    io::ErrorKind::InvalidData,
+                    "len {len}, byte {at}"
+                );
+                let err = split_frame(&bad).unwrap_err();
+                assert_eq!(
+                    err.kind(),
+                    io::ErrorKind::InvalidData,
+                    "len {len}, byte {at}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn truncated_frame_is_a_short_read() {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"a longer payload than the cut").unwrap();

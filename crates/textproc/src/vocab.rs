@@ -1,5 +1,6 @@
 //! Token vocabulary with the special tokens sequence models need.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Padding token (id 0) — ignored by attention masks.
@@ -89,18 +90,20 @@ impl Vocabulary {
     }
 
     /// Builds a vocabulary directly from a fixed token list (specials are
-    /// prepended; duplicates of specials are ignored).
+    /// prepended; a repeated token, special or not, keeps its first id).
+    ///
+    /// The map and the list are sized from the iterator's length hint up
+    /// front, and each token is hashed once and copied once: the map
+    /// keeps the string it is given as its key, the list a copy.
     pub fn from_tokens(items: impl IntoIterator<Item = String>) -> Self {
-        let mut tokens: Vec<String> = SPECIALS.iter().map(|s| s.to_string()).collect();
-        let mut ids: HashMap<String, u32> = tokens
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.clone(), i as u32))
-            .collect();
-        for t in items {
-            if !ids.contains_key(&t) {
-                ids.insert(t.clone(), tokens.len() as u32);
-                tokens.push(t);
+        let items = items.into_iter();
+        let capacity = SPECIALS.len() + items.size_hint().0;
+        let mut tokens: Vec<String> = Vec::with_capacity(capacity);
+        let mut ids: HashMap<String, u32> = HashMap::with_capacity(capacity);
+        for t in SPECIALS.iter().map(|s| s.to_string()).chain(items) {
+            if let Entry::Vacant(slot) = ids.entry(t) {
+                tokens.push(slot.key().clone());
+                slot.insert(tokens.len() as u32 - 1);
             }
         }
         Self { tokens, ids }
@@ -204,6 +207,27 @@ mod tests {
         let v = Vocabulary::from_tokens(["b".to_string(), "a".to_string()]);
         assert_eq!(v.id("b"), Some(5));
         assert_eq!(v.id("a"), Some(6));
+    }
+
+    #[test]
+    fn from_tokens_keeps_first_ids_across_duplicates_and_specials() {
+        let items = ["b", "[UNK]", "a", "b", "[PAD]", "c", "a", "[MASK]", "d"];
+        let v = Vocabulary::from_tokens(items.map(String::from));
+        let order: Vec<&str> = (0..v.len() as u32).map(|id| v.token(id)).collect();
+        assert_eq!(
+            order,
+            [PAD_TOKEN, UNK_TOKEN, CLS_TOKEN, SEP_TOKEN, MASK_TOKEN, "b", "a", "c", "d"]
+        );
+        for (id, token) in order.iter().enumerate() {
+            assert_eq!(v.id(token), Some(id as u32), "{token}");
+        }
+        // the same ids as one insertion per first occurrence, however the
+        // items arrive (an iterator without a length hint included)
+        let lazy = Vocabulary::from_tokens(items.iter().filter(|_| true).map(|t| t.to_string()));
+        for id in 0..v.len() as u32 {
+            assert_eq!(lazy.token(id), v.token(id));
+        }
+        assert_eq!(lazy.len(), v.len());
     }
 
     #[test]

@@ -52,7 +52,12 @@
 //! [`crc32`] is the one CRC-32 of the workspace (checkpoint-v2 files,
 //! linear-model snapshots and serving wire frames); [`Crc32`] is its
 //! running form, which the checkpoint loader folds a file into as it
-//! streams. It lives here only
+//! streams. On x86-64 CPUs with `pclmulqdq` and `sse4.1` (detected once,
+//! at the first call) [`Crc32::update`] folds each piece of 64 bytes or
+//! more with carry-less multiplies, 64 bytes per step, and finishes the
+//! piece's last 0-15 bytes with slice-by-8 tables; elsewhere the tables
+//! do it all. The two paths give the same value on every input, and the
+//! table path is what the fold is tested against. It lives here only
 //! because every crate that checks one already depends on `trace`.
 
 #![warn(missing_docs)]

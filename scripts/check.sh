@@ -14,6 +14,11 @@ cargo clippy --all-targets -- -D warnings
 echo "== documentation gate (doc_check.sh) =="
 scripts/doc_check.sh
 
+# unsafe stays in the files scripts/unsafe_check.sh lists: the SIMD and
+# CRC kernels, the pool's scoped jobs and the one syscall
+echo "== unsafe inventory (unsafe_check.sh) =="
+scripts/unsafe_check.sh
+
 echo "== cargo build --release =="
 cargo build --release
 

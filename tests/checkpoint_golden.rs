@@ -3,9 +3,12 @@
 //! The v2 binary format round-trips the full `TrainState` (history,
 //! optimizer moments, divergence-guard state) bit-exactly; the committed
 //! `tests/fixtures/checkpoint_v1.json` fixture proves the legacy v1 JSON
-//! format stays loadable forever. The fixture is written by
-//! `save_checkpoint_v1` itself — regenerate it (after deliberate format
-//! work only) with:
+//! format stays loadable forever, and the committed
+//! `tests/fixtures/checkpoint_v2.ckpt` pins the v2 bytes, CRC included,
+//! so a change to the encoder or to `trace::Crc32` that alters one byte
+//! fails here. The fixtures are written by `save_checkpoint_v1` and
+//! `save_checkpoint_with_state` themselves — regenerate them (after
+//! deliberate format work only) with:
 //!
 //! ```text
 //! CUISINE_REGEN_FIXTURES=1 cargo test -p cuisine --test checkpoint_golden -- --ignored
@@ -65,6 +68,16 @@ fn fixture_path() -> PathBuf {
     PathBuf::from(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../tests/fixtures/checkpoint_v1.json"
+    ))
+}
+
+/// The golden store and state in v2, as the encoder wrote them before the
+/// CRC gained its folding path: a payload of several hundred bytes, so
+/// its checksum runs through the fold and the bytewise tail alike.
+fn v2_fixture_path() -> PathBuf {
+    PathBuf::from(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/checkpoint_v2.ckpt"
     ))
 }
 
@@ -169,6 +182,30 @@ fn fresh_v1_file_matches_committed_fixture_byte_for_byte() {
 }
 
 #[test]
+fn committed_v2_fixture_loads_and_re_encodes_byte_for_byte() {
+    let committed = std::fs::read(v2_fixture_path()).unwrap();
+    let payload = committed.len() - 34;
+    assert!(
+        payload > 64,
+        "payload of {payload} bytes skips the CRC fold"
+    );
+    let mut restored = blank_store();
+    let state = load_checkpoint_with_state(&mut restored, &v2_fixture_path())
+        .unwrap()
+        .expect("the v2 fixture carries a TrainState");
+    assert_stores_bit_identical(&golden_store(), &restored);
+    assert_eq!(state, golden_state());
+
+    let dir = tempdir("v2_fixture");
+    let path = dir.join("fresh.ckpt");
+    save_checkpoint_with_state(&restored, &state, &path).unwrap();
+    assert!(
+        std::fs::read(&path).unwrap() == committed,
+        "v2 writer output drifted from the committed fixture"
+    );
+}
+
+#[test]
 fn v1_load_rejects_tampered_format_tag() {
     let dir = tempdir("v1_tamper");
     let path = dir.join("bad.json");
@@ -178,19 +215,24 @@ fn v1_load_rejects_tampered_format_tag() {
     assert!(load_checkpoint(&mut store, &path).is_err());
 }
 
-/// Rewrites the committed fixture. Gated twice (ignored + env var) so it
+/// Rewrites the committed fixtures. Gated twice (ignored + env var) so it
 /// can never run by accident in CI.
 #[test]
 #[ignore = "fixture writer; run with CUISINE_REGEN_FIXTURES=1 -- --ignored"]
-fn regenerate_v1_fixture() {
+fn regenerate_fixtures() {
     if std::env::var("CUISINE_REGEN_FIXTURES").as_deref() != Ok("1") {
-        eprintln!("set CUISINE_REGEN_FIXTURES=1 to rewrite the fixture");
+        eprintln!("set CUISINE_REGEN_FIXTURES=1 to rewrite the fixtures");
         return;
     }
     let path = fixture_path();
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
     save_checkpoint_v1(&golden_store(), &path).unwrap();
-    eprintln!("rewrote {}", path.display());
+    save_checkpoint_with_state(&golden_store(), &golden_state(), &v2_fixture_path()).unwrap();
+    eprintln!(
+        "rewrote {} and {}",
+        path.display(),
+        v2_fixture_path().display()
+    );
 }
 
 fn tempdir(tag: &str) -> PathBuf {

@@ -3,13 +3,25 @@
 //! plus live pool and arena counters — the same artifact `table4 --trace`
 //! writes to `RUN_trace.json`.
 //!
-//! Trace state is process-global, so this file keeps everything in a
-//! single test function.
+//! A traced model load must time each of its steps in a span of its own,
+//! nested under `serve.registry.load`.
+//!
+//! Trace state is process-global, so each test holds one lock from its
+//! first `trace::reset` to its last snapshot.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use cuisine::{ModelKind, Pipeline, PipelineConfig, Scale};
-use serve::{BatchServer, Features, ModelRegistry, ServeConfig, ServingModel};
+use nn::{LstmClassifier, LstmConfig, LstmPooling, SequenceModel};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use serve::{BatchServer, Features, ModelManifest, ModelRegistry, ServeConfig, ServingModel};
+use textproc::Vocabulary;
+
+fn serial() -> MutexGuard<'static, ()> {
+    static TRACE_STATE: Mutex<()> = Mutex::new(());
+    TRACE_STATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Minimal in-process model: enough for the batch server to queue, batch,
 /// and answer, so the serve.* metrics accumulate in the same trace.
@@ -35,6 +47,7 @@ impl ServingModel for EchoModel {
 
 #[test]
 fn traced_lstm_run_covers_featurize_train_eval() {
+    let _serial = serial();
     trace::reset();
     trace::enable();
 
@@ -182,5 +195,65 @@ fn traced_lstm_run_covers_featurize_train_eval() {
         serve_snap.gauge("serve.queue.depth"),
         Some(0),
         "queue depth gauge must return to 0 after drain + shutdown"
+    );
+}
+
+#[test]
+fn traced_lstm_load_times_each_step_under_the_load_span() {
+    let _serial = serial();
+    let dir = std::env::temp_dir().join(format!(
+        "trace_integration_lstm_load_{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let config = LstmConfig {
+        vocab: 12,
+        emb_dim: 8,
+        hidden: 6,
+        layers: 2,
+        dropout: 0.0,
+        classes: 3,
+        pooling: LstmPooling::LastHidden,
+    };
+    let vocab = Vocabulary::from_tokens((0..7).map(|i| format!("t{i}")));
+    ModelManifest::lstm(&config, &vocab).save(&dir).unwrap();
+    let model = LstmClassifier::new(config, &mut StdRng::seed_from_u64(25));
+    nn::save_checkpoint(model.store(), &dir.join("latest.ckpt")).unwrap();
+
+    trace::reset();
+    trace::enable();
+    ModelRegistry::new().load("lstm", &dir).unwrap();
+    trace::disable();
+    let snap = trace::snapshot();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let load = snap
+        .spans
+        .iter()
+        .find(|s| s.name == "serve.registry.load")
+        .expect("the load span");
+    let steps: Vec<_> = snap
+        .spans
+        .iter()
+        .filter(|s| s.parent == Some(load.id))
+        .collect();
+    let names: Vec<&str> = steps.iter().map(|s| s.name.as_ref()).collect();
+    assert_eq!(
+        names,
+        [
+            "serve.registry.manifest",
+            "nn.checkpoint.load",
+            "serve.registry.gate",
+            "serve.registry.build",
+            "serve.registry.warmup",
+        ],
+        "the load's steps, in start order"
+    );
+    let within: u128 = steps.iter().map(|s| s.dur_ns).sum();
+    assert!(
+        within <= load.dur_ns,
+        "steps take {within} ns of a {} ns load",
+        load.dur_ns
     );
 }
