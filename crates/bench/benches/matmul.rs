@@ -40,6 +40,13 @@ const GATE_SHAPE: (usize, usize, usize) = (16, 320, 256);
 /// scalar (see [`emit_json`]).
 const ROW_GATE_SHAPE: (usize, usize, usize) = (1, 320, 256);
 
+/// A product pinned to a thread count, as the `*_with_threads` kernels.
+type Kernel = fn(&Tensor, &Tensor, usize) -> Tensor;
+
+/// Interleaved scalar/SIMD timing pairs behind each SIMD `a_b` gate (see
+/// [`gate_speedup`]).
+const GATE_ROUNDS: usize = 5;
+
 /// Pre-activations in one gate row of the serving LSTM (4 gates × 64
 /// hidden units), the slice the activation rows time.
 const GATE_ROW: usize = 256;
@@ -116,6 +123,30 @@ fn time_ns(mut f: impl FnMut()) -> f64 {
     best
 }
 
+/// Scalar over SIMD single-thread time of `kernel(a, b)`: the median
+/// ratio of [`GATE_ROUNDS`] interleaved pairs of timings. One ratio of two
+/// timings moves with the machine's load by more than a floor's margin
+/// (the same build read 1.74x and 2.15x on a shared 2-core VM); pairs
+/// taken back to back share the load of their moment, and the median
+/// drops the pairs a stall split.
+fn gate_speedup(kernel: Kernel, a: &Tensor, b: &Tensor) -> f64 {
+    let time = |be: &str| {
+        with_backend(be, || {
+            time_ns(|| {
+                black_box(kernel(black_box(a), black_box(b), 1));
+            })
+        })
+    };
+    let mut ratios: Vec<f64> = (0..GATE_ROUNDS)
+        .map(|_| {
+            let scalar_ns = time("scalar");
+            scalar_ns / time("simd")
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[GATE_ROUNDS / 2]
+}
+
 /// Times each kernel on every registered backend (single-thread and the
 /// pooled parallel path) and writes `BENCH_matmul.json` at the workspace
 /// root with per-backend `*_ns` fields:
@@ -130,7 +161,8 @@ fn time_ns(mut f: impl FnMut()) -> f64 {
 /// single-thread result, and the run fails unless the SIMD backend is at
 /// least `MATMUL_MIN_SIMD_SPEEDUP` (default 2.0) times faster on the
 /// `a_b` gate shape [`GATE_SHAPE`] and at least as fast as scalar on the
-/// one-row shape [`ROW_GATE_SHAPE`].
+/// one-row shape [`ROW_GATE_SHAPE`], each speedup the median of
+/// [`gate_speedup`]'s interleaved pairs, not the row's one ratio.
 ///
 /// The `sigmoid` and `tanh` rows (shape `1x256`, see [`emit_activations`])
 /// carry `scalar_ns`, `simd_ns` and `simd_speedup`.
@@ -138,7 +170,6 @@ fn emit_json(_c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(0);
     let threads = num_threads();
     let simd = simd_supported();
-    type Kernel = fn(&Tensor, &Tensor, usize) -> Tensor;
     let kernels: [(&str, Kernel); 3] = [
         ("a_b", matmul_with_threads),
         ("at_b", matmul_at_b_with_threads),
@@ -216,10 +247,10 @@ fn emit_json(_c: &mut Criterion) {
                 ));
                 simd_note = format!("  simd {simd_ns:>12.0} ns  simd_speedup {simd_speedup:.2}x");
                 if *name == "a_b" && (m, k, n) == GATE_SHAPE {
-                    gate_simd_speedup = Some(simd_speedup);
+                    gate_simd_speedup = Some(gate_speedup(*kernel, a, b));
                 }
                 if *name == "a_b" && (m, k, n) == ROW_GATE_SHAPE {
-                    row_gate_simd_speedup = Some(simd_speedup);
+                    row_gate_simd_speedup = Some(gate_speedup(*kernel, a, b));
                 }
             }
             eprintln!(
@@ -249,19 +280,23 @@ fn emit_json(_c: &mut Criterion) {
         let got = gate_simd_speedup.expect("gate shape must have been timed");
         assert!(
             got >= min,
-            "SIMD speedup gate: a_b {m}x{k}x{n} is {got:.2}x over scalar, below the {min:.2}x floor \
-             (override with MATMUL_MIN_SIMD_SPEEDUP)"
+            "SIMD speedup gate: a_b {m}x{k}x{n} is {got:.2}x over scalar (median of \
+             {GATE_ROUNDS} pairs), below the {min:.2}x floor (override with MATMUL_MIN_SIMD_SPEEDUP)"
         );
-        eprintln!("simd gate: a_b {m}x{k}x{n} speedup {got:.2}x >= {min:.2}x");
+        eprintln!(
+            "simd gate: a_b {m}x{k}x{n} speedup {got:.2}x >= {min:.2}x (median of {GATE_ROUNDS} pairs)"
+        );
 
         let (m, k, n) = ROW_GATE_SHAPE;
         let got = row_gate_simd_speedup.expect("one-row gate shape must have been timed");
         assert!(
             got >= 1.0,
-            "SIMD one-row gate: a_b {m}x{k}x{n} is {got:.2}x over scalar; the SIMD backend \
-             must be at least as fast as scalar"
+            "SIMD one-row gate: a_b {m}x{k}x{n} is {got:.2}x over scalar (median of \
+             {GATE_ROUNDS} pairs); the SIMD backend must be at least as fast as scalar"
         );
-        eprintln!("simd gate: a_b {m}x{k}x{n} speedup {got:.2}x >= 1.00x");
+        eprintln!(
+            "simd gate: a_b {m}x{k}x{n} speedup {got:.2}x >= 1.00x (median of {GATE_ROUNDS} pairs)"
+        );
     }
 }
 

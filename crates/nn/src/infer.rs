@@ -10,19 +10,21 @@
 //!   weights it owns outright (no graph binding, no tape) that runs the
 //!   batch *layer-major*. A recipe entity enters the
 //!   first layer only through `E[id] · W_x`, a term that depends on the
-//!   token alone, so [`FusedLstm::new`] computes it once per model load
-//!   as a `vocab × 4·hidden` projection table `P = E · W_x`, and layer 0
-//!   of every batch starts each gate row as a copy of `P`'s row for its
-//!   token. The table is built in the embedding's own buffer and takes
-//!   its place: the engine keeps `P`, each layer's recurrent rows `W_h`
-//!   and bias, the input rows `W_x` of layers ≥ 1 and the head, and
-//!   drops the embedding and layer 0's `W_x`, which no request reads.
+//!   token alone, so the engine keeps a `vocab × 4·hidden` projection
+//!   table `P = E · W_x`, and layer 0 of every batch starts each gate row
+//!   as a copy of `P`'s row for its token. The table is filled lazily, in
+//!   the embedding's own buffer: [`FusedLstm::new`] projects no row, and
+//!   the first batch that reads a token projects its row over the token's
+//!   embedding row, once for the engine's life. A load pays nothing for
+//!   the table, and a token no request reads is never projected. The
+//!   engine keeps that buffer, each layer's fused gate weight and bias
+//!   and the head, and drops every other tensor of the classifier.
 //!   Each later layer runs one product that multiplies every
 //!   (sequence, timestep) input row of the batch by the input rows of its
 //!   fused gate weight. The time loop then only adds `h · W_h` for the
 //!   sequences still running onto its rows, adds the bias and applies the
 //!   gates. The recurrence keeps the small `active × hidden` product, and
-//!   the input projection, most of the multiply-adds, runs once per load
+//!   the input projection, most of the multiply-adds, runs once per token
 //!   (layer 0) or once over all `Σ len` rows (later layers) instead of as
 //!   one short product per step.
 //! * [`predict_proba_graph`] — a generic fallback for any
@@ -42,14 +44,13 @@
 //! through the same roundings in the same order, with the same exact-`0.0`
 //! skip (at `t = 0`, where `h` is zero, the recurrent product is skipped
 //! because every one of its terms would be). Layer 0's input product is
-//! the table itself: [`FusedLstm::new`] runs the same `matmul_acc` chains
-//! over the embedding rows, from the same zeroed start, and a chain never
+//! the table itself: a row is projected by the same `matmul_acc` chains
+//! over its embedding row, from the same zeroed start, and a chain never
 //! depends on which other rows share its product. So row `id` of `P` is,
 //! bit for bit, the first `emb_dim` terms of the gate chains for any step
 //! holding token `id`, whether that step runs alone, in a batch, or in
-//! the graph. Building the table block by block in the embedding's
-//! buffer changes none of this: each row is still its own chain from a
-//! zeroed row. The gates mirror [`crate::LstmCell::step`] operation for
+//! the graph, and whichever batch projected the row, beside whichever
+//! other rows. The gates mirror [`crate::LstmCell::step`] operation for
 //! operation — same bias add, same `f·c + i·g` association, same
 //! mean-pool summation order — and apply the same activation functions:
 //! `Graph::sigmoid`/`Graph::tanh` and this engine both call
@@ -59,6 +60,8 @@
 //! happen to agree, and no libm call is involved. The serve-layer
 //! integration tests and the unit tests below assert the bit-identity
 //! exactly, for ragged batches of every size.
+
+use std::sync::{Mutex, PoisonError};
 
 use autograd::Graph;
 use rand::rngs::StdRng;
@@ -108,22 +111,24 @@ pub fn predict_proba_graph<M: SequenceModel>(model: &M, seqs: &[&[usize]]) -> Ve
     out
 }
 
-/// Embedding rows one step of the in-place table build copies out and
-/// projects (see [`projection_table`]).
-const TABLE_BLOCK: usize = 128;
+/// Layer-0 table rows projected (see [`FusedLstm`]), one per token per
+/// engine, counted as each chunk of a batch projects the rows it reads
+/// first.
+static TABLE_ROWS: trace::Counter = trace::Counter::new("nn.infer.table_rows");
 
 /// The LSTM serving engine: the parts of a trained [`LstmClassifier`]
-/// that serving reads, with layer 0's token projection table in place of
-/// the embedding (see the module docs).
+/// that serving reads, with layer 0's token projection table filled in
+/// the embedding's buffer as requests first read each token (see the
+/// module docs).
 ///
-/// The table holds `vocab × 4·hidden` f32 values, built once by
-/// [`new`](Self::new); a model whose weights change needs a new engine.
+/// A model whose weights change needs a new engine.
 #[derive(Debug)]
 pub struct FusedLstm {
     config: LstmConfig,
-    /// `P = E · W_x`: row `id` is layer 0's input terms of every gate
-    /// chain for token `id`.
-    proj: Tensor,
+    /// Layer 0's projection table, behind one lock that each chunk of a
+    /// batch takes once to project the rows it reads first and copy its
+    /// gate rows.
+    table: Mutex<TokenTable>,
     layers: Vec<GateWeights>,
     head_weight: Tensor,
     head_bias: Tensor,
@@ -132,25 +137,108 @@ pub struct FusedLstm {
 /// What the engine keeps of one layer's fused gate parameters.
 #[derive(Debug)]
 struct GateWeights {
-    /// The gate weight rows the forward reads: all `input + hidden` rows
-    /// for layers ≥ 1, but only layer 0's `hidden` recurrent rows, since
-    /// its input rows live on in the projection table.
+    /// All `input + hidden` gate weight rows: the input rows (for layer 0,
+    /// the ones that project a table row) and then the recurrent rows.
     w: Tensor,
-    /// Rows of `w` before the recurrent ones (0 for layer 0).
+    /// Rows of `w` before the recurrent ones.
     input: usize,
     /// `1 × 4·hidden` gate bias.
     bias: Tensor,
 }
 
+/// `P = E · W_x`, filled row by row in the embedding's buffer.
+#[derive(Debug)]
+struct TokenTable {
+    /// Row `id` starts at `id · stride`, `stride = max(emb_dim, width)`:
+    /// token `id`'s embedding until its bit in `projected` is set, then
+    /// its `width` table values, layer 0's input terms of every gate
+    /// chain for token `id`.
+    data: Vec<f32>,
+    stride: usize,
+    /// `4·hidden`, a table row's length.
+    width: usize,
+    /// Bit `id % 64` of word `id / 64` is set once row `id` is projected.
+    projected: Vec<u64>,
+}
+
+impl TokenTable {
+    /// A table with no row projected, over `embedding`'s buffer. A table
+    /// row wider than an embedding row spreads the embedding rows to the
+    /// table's stride first, last row first: each row moves to an offset
+    /// at or past its own and past every row still to move.
+    fn new(embedding: Tensor, width: usize) -> Self {
+        let (vocab, emb) = embedding.shape();
+        let stride = emb.max(width);
+        let mut data = embedding.into_vec();
+        if stride > emb {
+            data.reserve_exact(vocab * stride - data.len());
+            data.resize(vocab * stride, 0.0);
+            for id in (1..vocab).rev() {
+                data.copy_within(id * emb..(id + 1) * emb, id * stride);
+            }
+        }
+        Self {
+            data,
+            stride,
+            width,
+            projected: vec![0; vocab.div_ceil(64)],
+        }
+    }
+
+    fn is_projected(&self, id: usize) -> bool {
+        self.projected[id / 64] & (1 << (id % 64)) != 0
+    }
+
+    /// Row `id` of `P`, once projected.
+    fn row(&self, id: usize) -> &[f32] {
+        debug_assert!(self.is_projected(id));
+        &self.data[id * self.stride..][..self.width]
+    }
+
+    /// Projects the rows of every id in `seqs` not projected yet: their
+    /// embedding rows, once each and in ascending id order, go into one
+    /// block, one [`tensor::matmul_acc`] over the first `emb_dim` rows of
+    /// layer 0's gate weight runs it from zeroed rows, and each result
+    /// overwrites its own embedding row. The table changes only after the
+    /// product returns, so a panic inside it leaves no bit set over an
+    /// unprojected row.
+    fn project(&mut self, seqs: &[&[usize]], layer: &GateWeights) {
+        let mut ids: Vec<usize> = seqs
+            .iter()
+            .flat_map(|seq| seq.iter().copied())
+            .filter(|&id| !self.is_projected(id))
+            .collect();
+        if ids.is_empty() {
+            return;
+        }
+        let _span = trace::span("nn.infer.project");
+        ids.sort_unstable();
+        ids.dedup();
+        let (n, emb) = (ids.len(), layer.input);
+        let mut block = Tensor::zeros(n, emb);
+        for (r, &id) in ids.iter().enumerate() {
+            block
+                .row_mut(r)
+                .copy_from_slice(&self.data[id * self.stride..][..emb]);
+        }
+        let mut rows = Tensor::zeros(n, self.width);
+        tensor::matmul_acc(&block, 0..n, &layer.w, 0..emb, &mut rows, 0..n);
+        for (r, &id) in ids.iter().enumerate() {
+            self.data[id * self.stride..][..self.width].copy_from_slice(rows.row(r));
+            self.projected[id / 64] |= 1 << (id % 64);
+        }
+        TABLE_ROWS.add(n as u64);
+    }
+}
+
 impl FusedLstm {
-    /// Builds the engine from `model`, taking it apart: the projection
-    /// table is computed over the embedding's own buffer, and the
-    /// embedding, layer 0's input rows and every other tensor serving
-    /// never reads are dropped.
+    /// Builds the engine from `model`, taking it apart: the embedding's
+    /// buffer becomes the projection table, with no row projected yet,
+    /// and every tensor serving never reads is dropped.
     pub fn new(model: LstmClassifier) -> Self {
         let (config, mut store, embedding, layers, head) = model.into_parts();
         let mut take = |id| std::mem::replace(store.get_mut(id), Tensor::zeros(0, 0));
-        let mut layers: Vec<GateWeights> = layers
+        let layers = layers
             .iter()
             .map(|layer| {
                 let (w, bias) = layer.cell().gate_params();
@@ -162,14 +250,10 @@ impl FusedLstm {
                 }
             })
             .collect();
-        let first = &mut layers[0];
-        let proj = projection_table(take(embedding.table_id()), &first.w);
-        let recurrent = &first.w.as_slice()[first.input * first.w.cols()..];
-        first.w = Tensor::from_vec(config.hidden, first.w.cols(), recurrent.to_vec());
-        first.input = 0;
+        let table = TokenTable::new(take(embedding.table_id()), 4 * config.hidden);
         Self {
             config,
-            proj,
+            table: Mutex::new(table),
             layers,
             head_weight: take(head.weight()),
             head_bias: take(head.bias()),
@@ -282,12 +366,19 @@ impl FusedLstm {
         }
 
         // layer 0's input terms of every (sequence, step) gate chain: the
-        // token's row of the projection table
+        // token's row of the projection table, projected first if no
+        // batch has read the token yet. A panic under the lock leaves the
+        // table consistent (see `TokenTable::project`), so a poisoned
+        // lock is taken over.
         let mut z = Tensor::zeros(total, 4 * hidden);
-        for t in 0..steps {
-            for r in 0..live[t] {
-                z.row_mut(start[t] + r)
-                    .copy_from_slice(self.proj.row(seqs[order[r]][t]));
+        {
+            let mut table = self.table.lock().unwrap_or_else(PoisonError::into_inner);
+            table.project(seqs, &self.layers[0]);
+            for t in 0..steps {
+                for r in 0..live[t] {
+                    z.row_mut(start[t] + r)
+                        .copy_from_slice(table.row(seqs[order[r]][t]));
+                }
             }
         }
         let mut h = Tensor::zeros(total, hidden);
@@ -377,45 +468,6 @@ impl FusedLstm {
     }
 }
 
-/// `P = E · W_x` for the embedding `E` (`vocab × emb_dim`) and the first
-/// `emb_dim` rows of layer 0's gate weight `w`, each row one ascending
-/// [`tensor::matmul_acc`] chain from a zeroed row, as the graph's gate
-/// products run them.
-///
-/// When a table row is at least as wide as an embedding row (`4·hidden ≥
-/// emb_dim`, the serving shape included), the table is built in `E`'s
-/// own buffer: grown once to the table's size, then filled one
-/// [`TABLE_BLOCK`]-row block at a time, last block first. Each block's
-/// embedding rows are copied out before its table rows are written, and
-/// table row `r` starts at or after embedding row `r`, so a block's
-/// writes only land on embedding rows already copied out. The embedding
-/// and its projection never hold memory at the same time. A narrower
-/// table is built on its own and the embedding dropped after.
-fn projection_table(embedding: Tensor, w: &Tensor) -> Tensor {
-    let (vocab, emb) = embedding.shape();
-    let width = w.cols();
-    if width < emb {
-        let mut proj = Tensor::zeros(vocab, width);
-        tensor::matmul_acc(&embedding, 0..vocab, w, 0..emb, &mut proj, 0..vocab);
-        return proj;
-    }
-    let mut data = embedding.into_vec();
-    data.reserve_exact(vocab * width - data.len());
-    data.resize(vocab * width, 0.0);
-    let mut proj = Tensor::from_vec(vocab, width, data);
-    let mut block = Tensor::zeros(TABLE_BLOCK.min(vocab), emb);
-    let mut hi = vocab;
-    while hi > 0 {
-        let lo = hi.saturating_sub(TABLE_BLOCK);
-        let n = hi - lo;
-        block.as_mut_slice()[..n * emb].copy_from_slice(&proj.as_slice()[lo * emb..hi * emb]);
-        proj.as_mut_slice()[lo * width..hi * width].fill(0.0);
-        tensor::matmul_acc(&block, 0..n, w, 0..emb, &mut proj, lo..hi);
-        hi = lo;
-    }
-    proj
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,10 +532,10 @@ mod tests {
     }
 
     /// The serving shape (`emb_dim 256`, `hidden 64`, 2 layers): 256 gate
-    /// columns, so the table build and the per-step products run the
+    /// columns, so the table rows and the per-step products run the
     /// kernels' 64- and 128-column blocks that `hidden: 9` never reaches,
-    /// and the 300-row table build is large enough to be row-tiled across
-    /// the tensor pool.
+    /// and a first batch's table rows, two or more in one product, are
+    /// row-tiled across the tensor pool.
     fn serving_model(pooling: LstmPooling, seed: u64) -> LstmClassifier {
         let mut rng = StdRng::seed_from_u64(seed);
         LstmClassifier::new(
@@ -552,37 +604,219 @@ mod tests {
     fn every_table_width_is_bit_identical_to_graph_eval() {
         // a table row wider than an embedding row (emb 12, hidden 9 ->
         // 36 columns; emb 24 -> 36), as wide (the serving shape) and
-        // narrower (emb 40, hidden 7 -> 28 columns): the first two build
-        // the table in the embedding's buffer, over three blocks at vocab
-        // 300, the last builds it on its own
+        // narrower (emb 40, hidden 7 -> 28 columns): the table's stride
+        // is the wider of the two
         for (emb_dim, hidden) in [(12, 9), (24, 9), (256, 64), (40, 7)] {
             let m = shaped_model(emb_dim, hidden, 13);
             assert_batches_match_graph(&m, &format!("emb {emb_dim}, hidden {hidden}"));
         }
     }
 
+    /// The bits of every value in `values`.
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
-    fn table_in_the_embedding_buffer_equals_a_separate_product() {
+    fn lazy_rows_equal_a_separate_product_in_any_order() {
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+
         let mut rng = StdRng::seed_from_u64(14);
+        // a table row wider than, as wide as and narrower than an
+        // embedding row
         for (vocab, emb, width) in [
             (1, 3, 8),
-            (TABLE_BLOCK - 1, 5, 12),
-            (TABLE_BLOCK, 5, 12),
-            (TABLE_BLOCK + 1, 5, 12),
+            (130, 5, 12),
             (300, 24, 36),
             (300, 36, 36),
             (300, 40, 28),
-            (2 * TABLE_BLOCK + 3, 16, 64),
+            (259, 16, 64),
         ] {
             let embedding = tensor::Initializer::Uniform(1.0).init(vocab, emb, &mut rng);
-            let w = tensor::Initializer::Uniform(1.0).init(emb + 3, width, &mut rng);
+            // layer-0 gate weights: `emb` input rows, then 3 recurrent rows
+            let layer = GateWeights {
+                w: tensor::Initializer::Uniform(1.0).init(emb + 3, width, &mut rng),
+                input: emb,
+                bias: Tensor::zeros(1, width),
+            };
             let mut separate = Tensor::zeros(vocab, width);
-            tensor::matmul_acc(&embedding, 0..vocab, &w, 0..emb, &mut separate, 0..vocab);
-            let proj = projection_table(embedding, &w);
-            assert_eq!(proj.shape(), (vocab, width));
-            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&proj), bits(&separate), "{vocab} x {emb} -> {width}");
+            tensor::matmul_acc(
+                &embedding,
+                0..vocab,
+                &layer.w,
+                0..emb,
+                &mut separate,
+                0..vocab,
+            );
+
+            let mut shuffled: Vec<usize> = (0..vocab).collect();
+            shuffled.shuffle(&mut rng);
+            let mut random_batches = Vec::new();
+            let mut rest = shuffled.as_slice();
+            while !rest.is_empty() {
+                let (batch, tail) = rest.split_at(rng.gen_range(1..=rest.len().min(17)));
+                random_batches.push(batch.to_vec());
+                rest = tail;
+            }
+            // repeats within a batch and across batches, then the rest
+            let repeats = vec![
+                vec![vocab / 2, vocab / 2, 0, vocab / 2],
+                vec![0, vocab - 1, vocab - 1],
+                (0..vocab).rev().chain(0..vocab).collect(),
+            ];
+            let orders = [
+                ("single ids", (0..vocab).map(|id| vec![id]).collect()),
+                (
+                    "single ids, last first",
+                    (0..vocab).rev().map(|id| vec![id]).collect(),
+                ),
+                ("shuffled, random batches", random_batches),
+                ("repeats", repeats),
+                ("one cold batch", vec![(0..vocab).collect()]),
+            ];
+            for (label, batches) in orders {
+                let label = format!("{vocab} x {emb} -> {width}, {label}");
+                let mut table = TokenTable::new(embedding.clone(), width);
+                let (ptr, capacity) = (table.data.as_ptr(), table.data.capacity());
+                let mut seen = vec![false; vocab];
+                for batch in &batches {
+                    // as sequences of up to 3 tokens
+                    let seqs: Vec<&[usize]> = batch.chunks(3).collect();
+                    table.project(&seqs, &layer);
+                    for &id in batch {
+                        seen[id] = true;
+                    }
+                    for (id, &seen) in seen.iter().enumerate() {
+                        assert_eq!(table.is_projected(id), seen, "{label}: row {id}'s bit");
+                    }
+                }
+                for id in 0..vocab {
+                    assert_eq!(
+                        bits(table.row(id)),
+                        bits(separate.row(id)),
+                        "{label}: row {id}"
+                    );
+                }
+                assert_eq!(table.data.as_ptr(), ptr, "{label}: table moved");
+                assert_eq!(table.data.capacity(), capacity, "{label}: table grew");
+            }
         }
+    }
+
+    #[test]
+    fn the_table_keeps_the_embedding_allocation() {
+        // as wide as the embedding (the serving shape), narrower and
+        // wider: the first two project over the embedding's own buffer,
+        // the last spreads it to the wider stride once, in `new`
+        for (emb_dim, hidden) in [(256, 64), (40, 7), (12, 9)] {
+            let m = shaped_model(emb_dim, hidden, 15);
+            let taken = m.clone();
+            let embedding = taken
+                .store()
+                .get(taken.parts().0.table_id())
+                .as_slice()
+                .as_ptr();
+            let engine = FusedLstm::new(taken);
+            let (ptr, capacity) = {
+                let table = engine.table.lock().unwrap();
+                (table.data.as_ptr(), table.data.capacity())
+            };
+            if 4 * hidden <= emb_dim {
+                assert_eq!(
+                    ptr, embedding,
+                    "emb {emb_dim}: the table is not the embedding"
+                );
+            }
+            let every_id: Vec<Vec<usize>> = (0..300).map(|id| vec![id]).collect();
+            assert_eq!(fused_rows(&engine, &every_id), graph_rows(&m, &every_id));
+            let table = engine.table.lock().unwrap();
+            assert!((0..300).all(|id| table.is_projected(id)));
+            assert_eq!(table.data.as_ptr(), ptr, "emb {emb_dim}: the table moved");
+            assert_eq!(
+                table.data.capacity(),
+                capacity,
+                "emb {emb_dim}: the table grew"
+            );
+        }
+    }
+
+    #[test]
+    fn threads_sharing_a_cold_engine_match_graph_eval() {
+        let m = serving_model(LstmPooling::MeanPool, 16);
+        let seqs = recipe_seqs(40);
+        let reference = graph_rows(&m, &seqs);
+        let engine = FusedLstm::new(m);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for k in 0..4 {
+                let (engine, seqs, reference, start) = (&engine, &seqs, &reference, &start);
+                scope.spawn(move || {
+                    // thread k sends sequences 6k..6k+22 in ragged
+                    // batches of 1 to 5, overlapping its neighbours'
+                    let (mut lo, hi) = (6 * k, 6 * k + 22);
+                    start.wait();
+                    for n in (1..=5).cycle() {
+                        if lo >= hi {
+                            break;
+                        }
+                        let end = (lo + n + k).min(hi);
+                        let rows = fused_rows(engine, &seqs[lo..end]);
+                        assert_eq!(rows, reference[lo..end], "thread {k}, rows {lo}..{end}");
+                        lo = end;
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn a_cold_serving_shape_batch_projects_its_rows_in_one_pooled_product() {
+        // a table row of the serving shape is 256 x 256 = 65,536
+        // multiply-adds, tensor's PAR_THRESHOLD, so a product of two or
+        // more rows is row-tiled across the pool whenever TENSOR_THREADS
+        // gives it more than one thread
+        let m = serving_model(LstmPooling::LastHidden, 17);
+        let cfg = *m.config();
+        assert_eq!(cfg.emb_dim * 4 * cfg.hidden, 1 << 16);
+        let seqs = recipe_seqs(3);
+        let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
+        let mut ids: Vec<usize> = seqs.concat();
+        ids.sort_unstable();
+        ids.dedup();
+        assert!(ids.len() >= 2);
+
+        let (_, store, embedding, layers, _) = m.clone().into_parts();
+        let e = store.get(embedding.table_id());
+        let (w, _) = layers[0].cell().gate_params();
+        let layer = GateWeights {
+            w: store.get(w).clone(),
+            input: cfg.emb_dim,
+            bias: Tensor::zeros(1, 4 * cfg.hidden),
+        };
+        let mut table = TokenTable::new(e.clone(), 4 * cfg.hidden);
+        table.project(&refs, &layer);
+        for id in 0..cfg.vocab {
+            assert_eq!(table.is_projected(id), ids.contains(&id), "row {id}'s bit");
+        }
+        for &id in &ids {
+            let mut alone = Tensor::zeros(1, 4 * cfg.hidden);
+            tensor::matmul_acc_with_threads(
+                e,
+                id..id + 1,
+                &layer.w,
+                0..cfg.emb_dim,
+                &mut alone,
+                0..1,
+                1,
+            );
+            assert_eq!(bits(table.row(id)), bits(alone.row(0)), "row {id}");
+        }
+        // and the same cold batch through the engine answers as the graph
+        assert_eq!(
+            fused_rows(&FusedLstm::new(m.clone()), &seqs),
+            graph_rows(&m, &seqs)
+        );
     }
 
     #[test]
@@ -592,7 +826,7 @@ mod tests {
             let table_id = m.parts().0.table_id();
             let table = m.store_mut().get_mut(table_id);
             // exact zeros of both signs, and whole zero rows, so the
-            // table build's zero-skip fires
+            // table rows' zero-skip fires
             for id in 0..300 {
                 let row = table.row_mut(id);
                 for (j, v) in row.iter_mut().enumerate() {

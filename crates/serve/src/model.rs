@@ -71,8 +71,9 @@ pub struct LstmServing {
 }
 
 impl LstmServing {
-    /// Wraps a restored classifier and its vocabulary, building the
-    /// engine's token projection table (once per load).
+    /// Wraps a restored classifier and its vocabulary. The engine's token
+    /// projection table starts empty and fills as requests first read each
+    /// token, so this projects nothing.
     pub fn new(model: LstmClassifier, vocab: Vocabulary) -> Self {
         Self {
             engine: FusedLstm::new(model),

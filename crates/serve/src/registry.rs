@@ -122,10 +122,9 @@ impl ModelRegistry {
     /// Enables or disables the load-time warmup pass (on by default).
     ///
     /// With warmup on, [`load`](Self::load) drives one dummy batch through
-    /// the freshly built model *before* publishing it, so the first
-    /// post-swap request doesn't pay lazy page-in of the weights, and a
-    /// model that can't produce a finite probability row is rejected
-    /// instead of published. A sequence-model checkpoint holding any
+    /// the freshly built model *before* publishing it, so a model that
+    /// can't produce a finite probability row is rejected instead of
+    /// published. A sequence-model checkpoint holding any
     /// non-finite parameter is rejected before its engine is built: the
     /// one-token warmup batch reads only a sliver of the weights (one
     /// embedding row, no recurrent product), so it cannot find one.
@@ -245,10 +244,13 @@ impl ModelRegistry {
 }
 
 /// Drives one dummy request through a freshly built model before it is
-/// published: touches every weight page (so the first real post-swap batch
-/// doesn't pay lazy page-in) and validates that the model can produce a
-/// finite probability row at all. A panic or a non-finite/ill-normalized
-/// output fails the load, keeping the previous version in place.
+/// published, to validate that the model can produce a finite probability
+/// row at all. The request is small: an empty sparse row for a linear
+/// model, token 0 alone for a sequence model, which reads that token's
+/// embedding row (an LSTM projects its one table row) and runs no
+/// recurrent product. So it touches a sliver of the weights, not every
+/// page. A panic or a non-finite/ill-normalized output fails the load,
+/// keeping the previous version in place.
 fn warmup(model: &dyn ServingModel) -> io::Result<()> {
     let _span = trace::span("serve.registry.warmup");
     let features = if model.kind() == "linear" {

@@ -50,8 +50,10 @@ cargo test -q --release --manifest-path perfbench/Cargo.toml
 # conformance/selection suites assert exactly that. The fused LSTM engine's bit-identity tests
 # (`nn::infer`, which compare its layer-major forward against per-example
 # graph evaluation) join the same sweep; they also cover the engine's
-# layer-0 token projection table, whose build at the serving shape is
-# large enough to be row-tiled across the pool. The serve suites (batching,
+# layer-0 token projection table, whose rows are projected as batches
+# first read their tokens: a cold serving-shape batch projects its rows in
+# one product large enough to be row-tiled across the pool, and four
+# threads share one cold engine. The serve suites (batching,
 # replica router, trace gauges) ride along because batch workers drive
 # the pool from several threads at once.
 for threads in 1 2 4; do

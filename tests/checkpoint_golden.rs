@@ -1,4 +1,4 @@
-//! Golden-file tests for the checkpoint formats.
+//! Golden-file tests for the checkpoint formats and the linear snapshot.
 //!
 //! The v2 binary format round-trips the full `TrainState` (history,
 //! optimizer moments, divergence-guard state) bit-exactly; the committed
@@ -6,9 +6,12 @@
 //! format stays loadable forever, and the committed
 //! `tests/fixtures/checkpoint_v2.ckpt` pins the v2 bytes, CRC included,
 //! so a change to the encoder or to `trace::Crc32` that alters one byte
-//! fails here. The fixtures are written by `save_checkpoint_v1` and
-//! `save_checkpoint_with_state` themselves — regenerate them (after
-//! deliberate format work only) with:
+//! fails here. The committed `tests/fixtures/linear_v2.bin` does the same
+//! for a `cuisine-linear-v2` snapshot (`linear.bin`), whose own tests
+//! write and read with the same code and so pass over a wrong CRC that
+//! both share. The fixtures are written by `save_checkpoint_v1`,
+//! `save_checkpoint_with_state` and `ml::save_linear` themselves —
+//! regenerate them (after deliberate format work only) with:
 //!
 //! ```text
 //! CUISINE_REGEN_FIXTURES=1 cargo test -p cuisine --test checkpoint_golden -- --ignored
@@ -17,6 +20,7 @@
 use std::path::PathBuf;
 
 use autograd::ParamStore;
+use ml::LinearModel;
 use nn::{
     load_checkpoint, load_checkpoint_with_state, save_checkpoint_v1, save_checkpoint_with_state,
     CheckpointManager, EpochStats, OptimizerSlot, OptimizerState, TrainHistory, TrainState,
@@ -79,6 +83,25 @@ fn v2_fixture_path() -> PathBuf {
         env!("CARGO_MANIFEST_DIR"),
         "/../../tests/fixtures/checkpoint_v2.ckpt"
     ))
+}
+
+/// A 4-class, 10-column linear model, every value exact in f32, as
+/// `ml::save_linear` wrote it: a 184-byte payload, so its CRC runs the
+/// fold's 64-byte loop as well as the bytewise tail.
+fn linear_fixture_path() -> PathBuf {
+    PathBuf::from(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/linear_v2.bin"
+    ))
+}
+
+fn golden_linear() -> LinearModel {
+    LinearModel {
+        weights: (0..4)
+            .map(|c| (0..10).map(|j| (c * 10 + j) as f32 * 0.125 - 2.5).collect())
+            .collect(),
+        bias: vec![0.5, -0.25, 1.0, -0.0],
+    }
 }
 
 fn golden_state() -> TrainState {
@@ -206,6 +229,32 @@ fn committed_v2_fixture_loads_and_re_encodes_byte_for_byte() {
 }
 
 #[test]
+fn committed_linear_fixture_loads_and_re_encodes_byte_for_byte() {
+    let committed = std::fs::read(linear_fixture_path()).unwrap();
+    let payload = committed.len() - 30;
+    assert!(
+        payload >= 128,
+        "payload of {payload} bytes skips the CRC fold's 64-byte loop"
+    );
+    let model = ml::load_linear(&linear_fixture_path()).unwrap();
+    let golden = golden_linear();
+    let bits = |m: &LinearModel| {
+        let weights: Vec<u32> = m.weights.iter().flatten().map(|v| v.to_bits()).collect();
+        let bias: Vec<u32> = m.bias.iter().map(|v| v.to_bits()).collect();
+        (m.weights.len(), weights, bias)
+    };
+    assert_eq!(bits(&model), bits(&golden), "weights and biases");
+
+    let dir = tempdir("linear_fixture");
+    let path = dir.join("fresh.bin");
+    ml::save_linear(&model, &path).unwrap();
+    assert!(
+        std::fs::read(&path).unwrap() == committed,
+        "linear snapshot writer output drifted from the committed fixture"
+    );
+}
+
+#[test]
 fn v1_load_rejects_tampered_format_tag() {
     let dir = tempdir("v1_tamper");
     let path = dir.join("bad.json");
@@ -228,10 +277,12 @@ fn regenerate_fixtures() {
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
     save_checkpoint_v1(&golden_store(), &path).unwrap();
     save_checkpoint_with_state(&golden_store(), &golden_state(), &v2_fixture_path()).unwrap();
+    ml::save_linear(&golden_linear(), &linear_fixture_path()).unwrap();
     eprintln!(
-        "rewrote {} and {}",
+        "rewrote {}, {} and {}",
         path.display(),
-        v2_fixture_path().display()
+        v2_fixture_path().display(),
+        linear_fixture_path().display()
     );
 }
 

@@ -763,9 +763,10 @@ fn export_shaped(dir: &Path, config: LstmConfig) -> u64 {
     std::fs::metadata(&checkpoint).unwrap().len()
 }
 
-/// Starts a `replica_worker` on `model_dir`, waits until it answers a
-/// `Ping`, and returns its peak resident set at that point, in bytes.
-fn worker_peak_after_start(name: &str, model_dir: &Path) -> u64 {
+/// Starts a `replica_worker` on `model_dir` and returns its peak
+/// resident set, in bytes, when it first answers a `Ping` and again
+/// after it has answered each of `keys` (wire keys), one at a time.
+fn worker_peaks(name: &str, model_dir: &Path, keys: &[String]) -> (u64, u64) {
     let run = temp_dir(name);
     std::fs::create_dir_all(&run).unwrap();
     let socket = run.join("worker.sock");
@@ -790,14 +791,18 @@ fn worker_peak_after_start(name: &str, model_dir: &Path) -> u64 {
         assert!(Instant::now() < deadline, "{name}: no pong: {e}");
         std::thread::sleep(Duration::from_millis(20));
     }
-    let peak = peak_rss_bytes(child.id());
+    let at_start = peak_rss_bytes(child.id());
+    for key in keys {
+        handle.classify_prepared(key.clone(), None).unwrap();
+    }
+    let after_serving = peak_rss_bytes(child.id());
     handle.send_shutdown();
     if !matches!(child.try_wait(), Ok(Some(_))) {
         let _ = child.kill();
     }
     let _ = child.wait();
     let _ = std::fs::remove_dir_all(&run);
-    peak
+    (at_start, after_serving)
 }
 
 #[test]
@@ -805,35 +810,44 @@ fn a_served_shape_worker_holds_its_weights_about_once() {
     // the fleet_lstm shape: what loading it adds to a worker's peak, over
     // a tiny model's, must stay near the checkpoint's own size. A load
     // that keeps the whole file beside its decoded copy, or the
-    // embedding beside its projection table, holds about twice it.
+    // embedding beside its projection table, holds about twice it. So
+    // must what it adds once requests have read every content token,
+    // each table row projected over its own embedding row.
     let served = temp_dir("supervisor_memory_served");
-    let served_bytes = export_shaped(
-        &served,
-        LstmConfig {
-            vocab: 5005,
-            emb_dim: 256,
-            hidden: 64,
-            layers: 2,
-            dropout: 0.0,
-            classes: 26,
-            pooling: LstmPooling::LastHidden,
-        },
-    );
+    let config = LstmConfig {
+        vocab: 5005,
+        emb_dim: 256,
+        hidden: 64,
+        layers: 2,
+        dropout: 0.0,
+        classes: 26,
+        pooling: LstmPooling::LastHidden,
+    };
+    let served_bytes = export_shaped(&served, config);
     let tiny = temp_dir("supervisor_memory_tiny");
     export_shaped(&tiny, lstm_config());
-    let served_peak = worker_peak_after_start("memory-served", &served);
-    let tiny_peak = worker_peak_after_start("memory-tiny", &tiny);
-    let added = served_peak.saturating_sub(tiny_peak);
-    let ratio = added as f64 / served_bytes as f64;
-    eprintln!(
-        "served worker peak {served_peak} B, tiny {tiny_peak} B, checkpoint {served_bytes} B: \
-         {ratio:.2}x"
-    );
-    assert!(
-        ratio <= 1.5,
-        "loading the served shape added {added} B of peak RSS, {ratio:.2}x its \
-         {served_bytes} B checkpoint (bound 1.5x)"
-    );
+    // recipes of 20 tokens, t0 to t4999 once each; the tiny model reads
+    // every one as its unknown token
+    let tokens: Vec<String> = (0..config.vocab - 5).map(|i| format!("t{i}")).collect();
+    let keys: Vec<String> = tokens.chunks(20).map(|c| c.join("\x1f")).collect();
+    let (served_start, served_after) = worker_peaks("memory-served", &served, &keys);
+    let (tiny_start, tiny_after) = worker_peaks("memory-tiny", &tiny, &keys);
+    for (when, served_peak, tiny_peak) in [
+        ("after start", served_start, tiny_start),
+        ("after serving every token", served_after, tiny_after),
+    ] {
+        let added = served_peak.saturating_sub(tiny_peak);
+        let ratio = added as f64 / served_bytes as f64;
+        eprintln!(
+            "{when}: served worker peak {served_peak} B, tiny {tiny_peak} B, checkpoint \
+             {served_bytes} B: {ratio:.2}x"
+        );
+        assert!(
+            ratio <= 1.5,
+            "{when}, the served shape added {added} B of peak RSS, {ratio:.2}x its \
+             {served_bytes} B checkpoint (bound 1.5x)"
+        );
+    }
     std::fs::remove_dir_all(&served).unwrap();
     std::fs::remove_dir_all(&tiny).unwrap();
 }

@@ -4,7 +4,9 @@
 //! writes to `RUN_trace.json`.
 //!
 //! A traced model load must time each of its steps in a span of its own,
-//! nested under `serve.registry.load`.
+//! nested under `serve.registry.load`, and the LSTM engine's table rows,
+//! projected as requests first read their tokens, must be counted and
+//! timed where they are built.
 //!
 //! Trace state is process-global, so each test holds one lock from its
 //! first `trace::reset` to its last snapshot.
@@ -12,7 +14,7 @@
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use cuisine::{ModelKind, Pipeline, PipelineConfig, Scale};
-use nn::{LstmClassifier, LstmConfig, LstmPooling, SequenceModel};
+use nn::{FusedLstm, LstmClassifier, LstmConfig, LstmPooling, SequenceModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serve::{BatchServer, Features, ModelManifest, ModelRegistry, ServeConfig, ServingModel};
@@ -256,4 +258,44 @@ fn traced_lstm_load_times_each_step_under_the_load_span() {
         "steps take {within} ns of a {} ns load",
         load.dur_ns
     );
+}
+
+#[test]
+fn table_rows_are_counted_and_timed_once_each() {
+    let _serial = serial();
+    let config = LstmConfig {
+        vocab: 40,
+        emb_dim: 8,
+        hidden: 6,
+        layers: 2,
+        dropout: 0.0,
+        classes: 3,
+        pooling: LstmPooling::LastHidden,
+    };
+    let engine = FusedLstm::new(LstmClassifier::new(config, &mut StdRng::seed_from_u64(26)));
+    // counter and span totals after each batch, in order
+    let after = |batch: &[&[usize]]| {
+        engine.predict_proba_batch(batch);
+        let snap = trace::snapshot();
+        let spans = snap
+            .spans
+            .iter()
+            .filter(|s| s.name == "nn.infer.project")
+            .count();
+        (snap.counter("nn.infer.table_rows").unwrap_or(0), spans)
+    };
+
+    trace::reset();
+    trace::enable();
+    // five new ids (5, 9, 12, 30, 31), some repeated
+    let batch: [&[usize]; 3] = [&[5, 9, 5], &[12], &[9, 30, 31, 12]];
+    let first = after(&batch);
+    let repeated = after(&batch);
+    // two new ids (2, 33) among seen ones
+    let mixed = after(&[&[33, 5], &[2, 2, 30]]);
+    trace::disable();
+
+    assert_eq!(first, (5, 1), "a batch of 5 new ids: rows and spans");
+    assert_eq!(repeated, (5, 1), "a repeated batch projects nothing");
+    assert_eq!(mixed, (7, 2), "2 new ids among seen ones: rows and spans");
 }
